@@ -799,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--cache-dir", dest="cache_dir", default=None,
-        help="on-disk result cache directory (default: the cache dir the "
-             "coordinator sends with each job)",
+        help="where this host mounts the coordinator's result store "
+             "(default: the path the coordinator sends with each job)",
     )
     worker_parser.add_argument(
         "--retry-s", dest="retry_s", type=float, default=15.0,

@@ -1,8 +1,11 @@
 """Shared experiment infrastructure.
 
-- A process-wide (and optional on-disk) result cache: many figures share
-  the same baseline runs, and pytest-benchmark repeats harness calls.
-- ``run_app``: build a fresh system + app for a configuration and simulate.
+- A process-wide result memo plus the process-default on-disk store
+  (:func:`default_store`): many figures share the same baseline runs, and
+  pytest-benchmark repeats harness calls.
+- ``simulate``: one job against an explicit store, never the memo (the
+  body of every sweep attempt); ``run_app``: the memoized call harnesses
+  use.
 - ``ExperimentResult``: rows + formatting shared by all figure harnesses.
 
 Scale: experiments honour the ``REPRO_SCALE`` environment variable
@@ -76,21 +79,12 @@ def cache_key(app_name: str, config: SystemConfig, scale: float) -> str:
     return _cache_key(app_name, config, scale)
 
 
-def _store() -> Optional[ResultStore]:
-    """The content-addressed store rooted at ``_CACHE_DIR`` (the
-    module-level knob tests monkeypatch), or ``None`` when no disk cache
-    is configured."""
+def default_store() -> Optional[ResultStore]:
+    """The process-default result store, rooted at ``_CACHE_DIR`` (from
+    ``REPRO_CACHE_DIR``; ``--cache-dir`` and tests set the module knob),
+    or ``None`` when no disk cache is configured."""
 
-    if not _CACHE_DIR:
-        return None
-    return ResultStore(_CACHE_DIR)
-
-
-def _disk_path(key: str) -> Optional[str]:
-    store = _store()
-    if store is None:
-        return None
-    return store.path_for(key)
+    return ResultStore(_CACHE_DIR) if _CACHE_DIR else None
 
 
 def serialize_result(result: SimResult) -> Dict:
@@ -151,28 +145,25 @@ def result_fingerprint(result: SimResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _quarantine(path: str, reason: str) -> None:
-    """Move a bad cache file aside (delegates to the store's unique-suffix
-    quarantine, which is safe against two processes racing on one entry)."""
+def simulate(
+    app_name: str,
+    config: SystemConfig,
+    scale: float,
+    store: Optional[ResultStore],
+) -> SimResult:
+    """One job against an explicit ``store``: served from it when the
+    entry is there, else simulated on a fresh system and written to it.
+    Never touches the in-process memo; ``store=None`` always simulates."""
 
-    store = _store()
-    if store is None:
-        return
-    store.quarantine(path, reason)
-
-
-def _load_disk(key: str) -> Optional[SimResult]:
-    store = _store()
-    if store is None:
-        return None
-    return store.load(key)
-
-
-def _store_disk(key: str, result: SimResult) -> None:
-    store = _store()
-    if store is None:
-        return
-    store.store(key, result)
+    key = _cache_key(app_name, config, scale)
+    cached = store.load(key) if store is not None else None
+    if cached is not None:
+        return cached
+    app = make_app(app_name, scale=scale, page_size=config.page_size)
+    result = GPUSystem(config).run(app)
+    if store is not None:
+        store.store(key, result)
+    return result
 
 
 def run_app(
@@ -181,27 +172,21 @@ def run_app(
     scale: Optional[float] = None,
     use_cache: bool = True,
 ) -> SimResult:
-    """Simulate ``app_name`` under ``config`` (Table 1 baseline by default)."""
+    """Simulate ``app_name`` under ``config`` (Table 1 baseline by default),
+    memoized in-process and through :func:`default_store` unless
+    ``use_cache`` is off."""
 
     if config is None:
         config = table1_config()
     if scale is None:
         scale = DEFAULT_SCALE
     scale = float(scale)
+    if not use_cache:
+        return simulate(app_name, config, scale, None)
     key = _cache_key(app_name, config, scale)
-    if use_cache:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            return cached
-        cached = _load_disk(key)
-        if cached is not None:
-            _CACHE[key] = cached
-            return cached
-    app = make_app(app_name, scale=scale, page_size=config.page_size)
-    result = GPUSystem(config).run(app)
-    if use_cache:
-        _CACHE[key] = result
-        _store_disk(key, result)
+    result = _CACHE.get(key)
+    if result is None:
+        result = _CACHE[key] = simulate(app_name, config, scale, default_store())
     return result
 
 

@@ -6,9 +6,9 @@ dependency-light pieces (stdlib only — ``asyncio`` + ``http`` + ``json``):
 - :mod:`repro.service.jobs` — job *specs*: validation with actionable
   errors, canonicalization (so equivalent specs share one identity), and
   expansion into :class:`repro.sim.runner.SweepJob` grids.
-- :mod:`repro.service.executor` — :class:`SharedProcessPool`, a
-  :class:`repro.sim.runner.PoolHost` that keeps one process pool alive
-  across requests and evicts it after an idle quiet period.
+- :mod:`repro.service.executor` — :class:`SharedProcessPool`, the
+  runner's ``pool`` executor backend with one leased process pool kept
+  alive across requests and evicted after an idle quiet period.
 - :mod:`repro.service.manager` — :class:`JobManager`, the job queue:
   submissions are deduplicated against in-flight and completed jobs (and,
   transitively, against the on-disk result cache inside the runner), and

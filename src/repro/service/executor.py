@@ -1,23 +1,31 @@
-"""Shared process-pool host: one pool for every request, evicted when idle.
+"""Shared process pool: one pool for every request, evicted when idle.
 
 The service must not spawn a fresh :class:`ProcessPoolExecutor` per HTTP
 request — pool start-up costs dominate small jobs and concurrent requests
-would multiply resident worker processes. :class:`SharedProcessPool`
-implements the :class:`repro.sim.runner.PoolHost` contract with a single
-long-lived pool:
+would multiply resident worker processes. :class:`SharedProcessPool` is
+the runner's ``pool`` executor backend with a single long-lived pool; the
+manager hands it to every :class:`~repro.sim.runner.SweepRunner` as
+``executor=``:
 
-- **acquire** leases the pool to one sweep at a time (creating it lazily
-  on first use); a second acquirer blocks until the lease is released.
-  The effective in-flight cap is ``min(ask, max_workers)``.
+- **acquire** takes the lease: one sweep at a time (a second acquirer
+  blocks until the lease is released), creating the pool lazily on first
+  use. The effective in-flight cap is ``min(ask, max_workers)``.
 - **recycle** replaces a broken pool (worker crash / hung job) without
   giving up the lease.
-- **release** returns the pool for reuse; a *dirty* release (the sweep
-  aborted with futures still in flight) discards the pool instead, so the
-  next lease starts clean.
+- **close** releases the lease and keeps the pool for the next sweep; a
+  *dirty* close (the sweep aborted with futures still in flight) discards
+  the pool instead, so the next lease starts clean.
 - **evict_if_idle** shuts the pool down after ``idle_timeout_s`` seconds
   without a lease — the service stops holding worker processes (and their
   memory) across quiet periods, and transparently recreates the pool on
   the next request.
+- **shutdown** is final: afterwards every lease operation raises and no
+  pool is ever built again, so a batch still running when the service
+  stops cannot carry on in fresh worker processes.
+
+Like a private pool, the shared one follows the runner's width-1 rule: a
+sweep that one worker or one pending job would use runs in-process and
+never takes the lease.
 """
 
 from __future__ import annotations
@@ -25,21 +33,25 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.sim.runner import PoolHost, default_workers
+from repro.sim.executors.base import FaultHook
+from repro.sim.executors.local import PoolExecutor
+from repro.sim.runner import SweepJob, WorkerOutcome, default_workers
+from repro.sim.store import ResultStore
 
 DEFAULT_IDLE_TIMEOUT_S = 60.0
 
 
-class SharedProcessPool(PoolHost):
-    """A :class:`PoolHost` whose pool outlives individual sweeps."""
+class SharedProcessPool(PoolExecutor):
+    """A pool executor whose pool outlives individual sweeps."""
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
     ) -> None:
+        super().__init__()
         resolved = max_workers if max_workers is not None else default_workers()
         if resolved < 1:
             raise ValueError(f"max_workers must be >= 1, got {resolved}")
@@ -48,7 +60,6 @@ class SharedProcessPool(PoolHost):
         self.max_workers = resolved
         self.idle_timeout_s = idle_timeout_s
         self._cond = threading.Condition()
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._leased = False
         self._last_release = time.monotonic()
         self._closed = False
@@ -58,41 +69,54 @@ class SharedProcessPool(PoolHost):
         self._recycles = 0
         self._evictions = 0
 
-    # -- PoolHost contract -------------------------------------------------
+    def _check_open(self) -> None:
+        # Caller holds self._cond.
+        if self._closed:
+            raise RuntimeError("SharedProcessPool is closed")
 
-    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, int]:
+    # -- SweepExecutor contract ----------------------------------------------
+
+    def acquire(self, workers: int) -> int:
         with self._cond:
             while self._leased and not self._closed:
                 self._cond.wait()
-            if self._closed:
-                raise RuntimeError("SharedProcessPool is closed")
+            self._check_open()
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
                 self._pools_created += 1
             self._leased = True
             self._leases += 1
-            return self._pool, min(workers, self.max_workers)
+            return min(workers, self.max_workers)
 
-    def recycle(
-        self, pool: ProcessPoolExecutor, workers: int, reason: str
-    ) -> ProcessPoolExecutor:
+    def recycle(self, reason: str) -> None:
         with self._cond:
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._check_open()
+            super().recycle(reason)
             self._recycles += 1
-            return self._pool
 
-    def release(self, pool: ProcessPoolExecutor, dirty: bool = False) -> None:
+    def close(self, dirty: bool = False) -> None:
+        # Never raises, even after shutdown: it runs in the runner's
+        # ``finally`` and must not mask the error that ended the sweep.
         with self._cond:
             if dirty:
                 # Futures may still be running in there; never lease a
                 # polluted pool to the next sweep.
-                pool.shutdown(wait=False, cancel_futures=True)
-                if pool is self._pool:
-                    self._pool = None
+                self._discard()
             self._leased = False
             self._last_release = time.monotonic()
             self._cond.notify_all()
+
+    def run_isolated(
+        self,
+        job: SweepJob,
+        store: Optional[ResultStore],
+        attempt: int,
+        fault: FaultHook,
+        timeout: Optional[float],
+    ) -> WorkerOutcome:
+        with self._cond:
+            self._check_open()
+        return super().run_isolated(job, store, attempt, fault, timeout)
 
     # -- idle eviction / lifecycle -----------------------------------------
 
@@ -109,19 +133,18 @@ class SharedProcessPool(PoolHost):
             now = time.monotonic() if now is None else now
             if now - self._last_release < self.idle_timeout_s:
                 return False
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            self._discard()
             self._evictions += 1
             return True
 
     def shutdown(self) -> None:
-        """Tear everything down; subsequent :meth:`acquire` calls raise."""
+        """Tear everything down for good: every later :meth:`acquire`,
+        :meth:`submit`, :meth:`recycle` and :meth:`run_isolated` raises
+        ``RuntimeError`` and no pool is ever created again."""
 
         with self._cond:
             self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+            self._discard()
             self._cond.notify_all()
 
     def stats(self) -> Dict:

@@ -13,8 +13,9 @@ A submitted spec becomes a :class:`JobRecord` that moves through
   whose grid overlaps past work only simulates the genuinely novel jobs.
 - **Batching**: one executor thread drains everything queued at once and
   pushes it through a single :class:`~repro.sim.runner.SweepRunner` call
-  per knob group (timeout / max_retries), on the one
-  :class:`~repro.service.executor.SharedProcessPool` — concurrent requests
+  per knob group (timeout / max_retries), passing the one
+  :class:`~repro.service.executor.SharedProcessPool` as its executor (so
+  ``REPRO_EXECUTOR`` never redirects the service) — concurrent requests
   share a pool instead of each spawning their own, and overlapping grids
   collapse inside the runner's own dedup.
 - **Fault tolerance**: batches always run ``keep_going=True``; a job that
@@ -405,7 +406,7 @@ class JobManager:
             timeout=timeout,
             max_retries=max_retries,
             keep_going=True,
-            pool_host=self.pool,
+            executor=self.pool,
         )
         try:
             results, report = runner.run_with_report(all_jobs)

@@ -1,18 +1,23 @@
 """Pluggable sweep-executor backends.
 
 :class:`~repro.sim.runner.SweepRunner` drives one
-:class:`~repro.sim.executors.base.SweepExecutor` per sweep; the backend
-decides where attempts execute, the runner keeps dedup, retries,
-timeouts, crash attribution, and reporting. Three backends:
+:class:`~repro.sim.executors.base.SweepExecutor` per sweep through one
+collection loop; the backend decides where attempts execute, the runner
+keeps dedup, retries, timeouts, crash attribution, and reporting. Every
+backend runs the same attempt function,
+:func:`~repro.sim.runner.run_attempt`, against the store the runner
+passes to ``submit``:
 
 - ``serial`` (:class:`SerialExecutor`) — inline in the runner's process.
-- ``pool`` (:class:`PoolExecutor`) — local ``ProcessPoolExecutor``,
-  lifecycle owned by a :class:`~repro.sim.runner.PoolHost` (private per
-  sweep, or the service's shared leased pool).
+- ``pool`` (:class:`PoolExecutor`) — a private local ``ProcessPoolExecutor``
+  per sweep; the service's
+  :class:`~repro.service.executor.SharedProcessPool` is the same backend
+  with one leased, long-lived pool. A pool that one worker or one pending
+  job would use runs in-process instead.
 - ``remote`` (:class:`RemoteExecutor`) — ``repro worker`` processes
   pulling jobs from a :class:`Coordinator` over stdlib sockets.
 
-All three produce byte-identical results for the same grid
+All of them produce byte-identical results for the same grid
 (``tests/sim/test_executors.py`` enforces this on the fig13 smoke grid)
 and share the runner's failure semantics.
 """

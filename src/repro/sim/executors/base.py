@@ -2,11 +2,15 @@
 drives.
 
 An executor owns *where* simulation attempts run — in-process, on a local
-process pool, or on remote worker processes — while the runner keeps
-owning *what* runs: dedup, retries with backoff, per-job timeouts, crash
-attribution, and report assembly. The contract is deliberately shaped so
-the runner's fault-tolerance loop is backend-agnostic:
+process pool (private per sweep, or the service's shared one), or on
+remote worker processes — while the runner keeps owning *what* runs:
+dedup, retries with backoff, per-job timeouts, crash attribution, and
+report assembly. Every backend runs the same attempt,
+:func:`~repro.sim.runner.run_attempt`, against the store the runner hands
+to :meth:`submit`, and one collection loop drives them all:
 
+- :meth:`acquire` prepares the backend for one sweep (a shared pool takes
+  its lease here) and :meth:`close` ends it (releasing the lease).
 - :meth:`submit` returns a ``concurrent.futures.Future``; the runner
   collects with ``wait(FIRST_COMPLETED)`` regardless of backend.
 - A dead execution context — crashed pool worker, disconnected remote
@@ -25,6 +29,7 @@ from concurrent.futures import Future
 from typing import Callable, Optional
 
 from repro.sim.runner import SweepJob, WorkerOutcome
+from repro.sim.store import ResultStore
 
 #: The selector vocabulary (``SweepRunner(executor=...)``, CLI
 #: ``--executor``, ``REPRO_EXECUTOR``).
@@ -51,12 +56,12 @@ class SweepExecutor:
     def submit(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
     ) -> "Future[WorkerOutcome]":
-        """Start one attempt; the future resolves to a
+        """Start one :func:`~repro.sim.runner.run_attempt` of ``job``
+        against ``store``; the future resolves to its
         :class:`~repro.sim.runner.WorkerOutcome` or raises. May raise
         ``BrokenProcessPool``/``RuntimeError`` when the backend is broken
         at submission time (the runner recycles and re-submits)."""
@@ -66,22 +71,18 @@ class SweepExecutor:
     def recycle(self, reason: str) -> None:
         """The execution context broke (crash, hang): replace it. Work
         still in flight is stale — late results must be dropped, not
-        delivered against re-submitted attempts."""
-
-        raise NotImplementedError
+        delivered against re-submitted attempts. Nothing to replace by
+        default."""
 
     def close(self, dirty: bool = False) -> None:
         """The sweep is over. ``dirty=True`` means futures may still be
         in flight (the sweep aborted mid-run); a backend that reuses
         contexts across sweeps must not lease that context again."""
 
-        raise NotImplementedError
-
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -90,6 +91,7 @@ class SweepExecutor:
         context available and block for the outcome. Raises
         ``BrokenProcessPool`` (the job really does kill its executor —
         disposition ``"crash"``), ``concurrent.futures.TimeoutError``
-        (disposition ``"timeout"``), or the job's own exception."""
+        (disposition ``"timeout"``), or the job's own exception. By
+        default one plain attempt through :meth:`submit`."""
 
-        raise NotImplementedError
+        return self.submit(job, store, attempt, fault).result(timeout=timeout)

@@ -2,79 +2,34 @@
 
 :class:`SerialExecutor` runs every attempt inline in the runner's own
 process — no pool, no pickling, pdb/coverage/profiling-friendly — and
-:class:`PoolExecutor` adapts any :class:`~repro.sim.runner.PoolHost`
-(the default private per-sweep pool, or the service's long-lived
-:class:`~repro.service.executor.SharedProcessPool`) to the
-:class:`~repro.sim.executors.base.SweepExecutor` contract. Both produce
-byte-identical results to each other and to the remote backend: the
-simulator is deterministic and all three feed the same
-:func:`~repro.sim.runner._simulate` semantics.
+:class:`PoolExecutor` runs them on a private ``ProcessPoolExecutor``
+built for one sweep and torn down after it (the service's
+:class:`~repro.service.executor.SharedProcessPool` is the same backend
+with a pool that outlives sweeps). Both run the one attempt function,
+:func:`~repro.sim.runner.run_attempt`, so they produce byte-identical
+results to each other and to the remote backend.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import List, Optional
+from typing import Optional
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
-from repro.sim.profiling import Hotspot, HotspotProfiler, profile_top
-from repro.sim.runner import (
-    PoolHost,
-    PrivatePoolHost,
-    SweepJob,
-    WorkerOutcome,
-    _simulate,
-)
-
-
-def execute_inline(
-    job: SweepJob, use_cache: bool, attempt: int, fault: FaultHook
-) -> WorkerOutcome:
-    """One attempt in the current process.
-
-    Mirrors :func:`~repro.sim.runner._simulate` (fault hook, optional
-    profiling, timing) but deliberately does NOT touch
-    ``common._CACHE_DIR`` / ``common._CACHE``: worker processes reset
-    those to escape stale fork-inherited state, while the parent process
-    must keep its module state intact.
-    """
-
-    from repro.experiments import common
-
-    started = time.perf_counter()
-    if fault is not None:
-        fault(job, attempt)
-    top_n = profile_top()
-    if top_n:
-        with HotspotProfiler(top_n) as profiler:
-            result = common.run_app(
-                job.app_name, job.config, job.scale, use_cache=use_cache
-            )
-        hotspots: Optional[List[Hotspot]] = profiler.hotspots()
-    else:
-        result = common.run_app(
-            job.app_name, job.config, job.scale, use_cache=use_cache
-        )
-        hotspots = None
-    return WorkerOutcome(
-        result=result,
-        duration_s=time.perf_counter() - started,
-        worker_pid=os.getpid(),
-        hotspots=hotspots,
-    )
+from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
+from repro.sim.store import ResultStore
 
 
 class SerialExecutor(SweepExecutor):
     """Everything inline, width 1. ``submit`` runs the attempt before
     returning, so the returned future is always already resolved; the
-    runner's collection loop degenerates to one attempt at a time.
+    runner's collection loop degenerates to one attempt at a time, and a
+    per-job timeout cannot preempt it.
 
-    Crash semantics match the historical serial path: an injected
-    ``crash`` fault is demoted to an exception by
+    An injected ``crash`` fault is demoted to an exception by
     :class:`~repro.sim.runner.SpecFault`'s parent-pid guard rather than
-    killing the sweep (there is no worker process to sacrifice).
+    killing the sweep (there is no worker process to sacrifice), and the
+    isolation fallback is one more inline attempt.
     """
 
     name = "serial"
@@ -85,94 +40,71 @@ class SerialExecutor(SweepExecutor):
     def submit(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
     ) -> "Future[WorkerOutcome]":
         future: "Future[WorkerOutcome]" = Future()
         try:
-            outcome = execute_inline(job, use_cache, attempt, fault)
-        except BaseException as error:
+            future.set_result(run_attempt(job, store, attempt, fault))
+        except Exception as error:
             future.set_exception(error)
-        else:
-            future.set_result(outcome)
         return future
-
-    def recycle(self, reason: str) -> None:
-        pass  # nothing to rebuild: the "context" is this process
-
-    def close(self, dirty: bool = False) -> None:
-        pass
-
-    def run_isolated(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
-        timeout: Optional[float],
-    ) -> WorkerOutcome:
-        # No isolation (and no preemption) is possible in-process; the
-        # timeout is unenforceable here, exactly like the serial path.
-        return execute_inline(job, use_cache, attempt, fault)
 
 
 class PoolExecutor(SweepExecutor):
-    """The local process pool behind the executor contract.
-
-    The pool's *lifecycle* stays with the :class:`PoolHost` — a private
-    per-sweep pool by default, the service's shared leased pool when one
-    is passed — so ``SharedProcessPool`` is an implementation of the same
-    executor backend, not a parallel code path.
-    """
+    """A local process pool: by default a private one, built by
+    :meth:`acquire` at the sweep's width and shut down by :meth:`close`."""
 
     name = "pool"
 
-    def __init__(self, host: Optional[PoolHost] = None) -> None:
-        self.host = host if host is not None else PrivatePoolHost()
+    def __init__(self) -> None:
+        self.max_workers = 0
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._workers = 0
 
     def acquire(self, workers: int) -> int:
-        self._pool, self._workers = self.host.acquire(workers)
-        return self._workers
+        self.max_workers = workers
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+        return workers
 
     def submit(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
     ) -> "Future[WorkerOutcome]":
-        assert self._pool is not None, "acquire() first"
-        return self._pool.submit(_simulate, job, cache_dir, use_cache, attempt, fault)
+        pool = self._pool
+        if pool is None:
+            raise RuntimeError("the pool executor is closed")
+        return pool.submit(run_attempt, job, store, attempt, fault)
 
     def recycle(self, reason: str) -> None:
-        assert self._pool is not None, "acquire() first"
-        self._pool = self.host.recycle(self._pool, self._workers, reason)
+        self._discard()
+        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
 
     def close(self, dirty: bool = False) -> None:
+        self._discard()
+
+    def _discard(self) -> None:
+        # Abandon, never join: a crashed or wedged pool cannot be reclaimed.
         if self._pool is not None:
-            self.host.release(self._pool, dirty=dirty)
+            self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
     ) -> WorkerOutcome:
-        # A fresh single-worker pool, independent of the leased one: if
-        # the job kills even its private pool it is the culprit.
+        # A fresh single-worker pool, independent of the sweep's: if the
+        # job kills even its private pool it is the culprit.
         solo = ProcessPoolExecutor(max_workers=1)
         try:
-            future = solo.submit(_simulate, job, cache_dir, use_cache, attempt, fault)
+            future = solo.submit(run_attempt, job, store, attempt, fault)
             return future.result(timeout=timeout)
         finally:
             solo.shutdown(wait=False, cancel_futures=True)

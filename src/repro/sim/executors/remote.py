@@ -5,13 +5,13 @@ worker --connect HOST:PORT`` processes (any host that can reach the
 coordinator and, for cache sharing, the store directory):
 
     SweepRunner ── RemoteExecutor ── Coordinator ══socket══ worker pull loop
-                                                            └─ _simulate(...)
+                                                            └─ run_attempt(...)
 
 Protocol: length-prefixed pickles (4-byte big-endian size, then a
 pickled tuple) over one long-lived TCP connection per worker:
 
     worker → ("hello", PROTOCOL_VERSION, {"pid": ..., "host": ...})
-    coord  → ("job", task_id, job, cache_dir, use_cache, attempt, fault)
+    coord  → ("job", task_id, job, store, attempt, fault)
     worker → ("ok", task_id, WorkerOutcome) | ("err", task_id, exception)
     coord  → ("shutdown",)
 
@@ -35,12 +35,13 @@ Fault semantics match the local pool byte-for-byte at the runner level:
   — a task never burns its timeout budget sitting in the coordinator
   queue behind other tasks.
 
-Results and the cache: workers run the same
-:func:`~repro.sim.runner._simulate` body as pool workers, against the
-``cache_dir`` the coordinator sends (overridable per worker with
-``--cache-dir`` for hosts that mount the shared store elsewhere), so N
-remote workers populate the same content-addressed store entries a
-serial run would.
+Results and the store: workers run the one attempt function,
+:func:`~repro.sim.runner.run_attempt`, like every other backend, against
+the :class:`~repro.sim.store.ResultStore` the runner sends (``None`` when
+the sweep has no disk cache; a worker's ``--cache-dir`` re-roots it for
+hosts that mount the shared store elsewhere), so N remote workers populate
+the same content-addressed store entries a serial run would. Workers keep
+no results in memory between jobs.
 """
 
 from __future__ import annotations
@@ -60,9 +61,12 @@ from itertools import count as _counter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
-from repro.sim.runner import SweepJob, WorkerOutcome, _simulate
+from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
+from repro.sim.store import ResultStore
 
-PROTOCOL_VERSION = 1
+#: Bump whenever a message changes shape, so a worker running other code
+#: is refused at hello instead of unpacking a job wrongly.
+PROTOCOL_VERSION = 2
 
 #: Worker exit codes (the ``--respawn`` supervisor keys off these).
 EXIT_CLEAN = 0          # shutdown message / coordinator gone: do not respawn
@@ -193,17 +197,14 @@ class Coordinator:
     def submit_task(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
     ) -> _RemoteTask:
         with self._cond:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
-            task = _RemoteTask(
-                next(self._task_ids), (job, cache_dir, use_cache, attempt, fault)
-            )
+            task = _RemoteTask(next(self._task_ids), (job, store, attempt, fault))
             self._live[task.task_id] = task
             self._queue.append(task)
             self._cond.notify_all()
@@ -415,14 +416,11 @@ class RemoteExecutor(SweepExecutor):
     def submit(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
     ) -> "Future[WorkerOutcome]":
-        return self.coordinator.submit_task(
-            job, cache_dir, use_cache, attempt, fault
-        ).future
+        return self.coordinator.submit_task(job, store, attempt, fault).future
 
     def recycle(self, reason: str) -> None:
         self.coordinator.recycle(reason)
@@ -433,8 +431,7 @@ class RemoteExecutor(SweepExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
+        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -442,7 +439,7 @@ class RemoteExecutor(SweepExecutor):
         # The strongest isolation the backend offers: the task runs alone
         # on whichever worker takes it; a disconnect during it raises
         # BrokenProcessPool here, naming the job the crash culprit.
-        task = self.coordinator.submit_task(job, cache_dir, use_cache, attempt, fault)
+        task = self.coordinator.submit_task(job, store, attempt, fault)
         try:
             return task.future.result(timeout=timeout)
         except BaseException:
@@ -478,9 +475,9 @@ def worker_main(
 ) -> int:
     """The ``repro worker --connect`` pull loop; returns an exit code.
 
-    Runs jobs with the exact pool-worker body (:func:`_simulate`), against
-    the coordinator-sent cache dir unless ``cache_dir`` overrides it (a
-    host mounting the shared store at a different path). An injected
+    Runs jobs with the one attempt function (:func:`run_attempt`),
+    against the coordinator-sent store, re-rooted at ``cache_dir`` when
+    given (a host mounting the shared store at a different path). An injected
     ``crash`` fault kills this process mid-job — the coordinator sees the
     disconnect and raises ``BrokenProcessPool``, same as a pool crash.
     """
@@ -512,13 +509,14 @@ def worker_main(
             if message[0] == "shutdown":
                 _log("[worker] shutdown requested; exiting")
                 return EXIT_CLEAN
-            if message[0] != "job" or len(message) != 7:
+            if message[0] != "job" or len(message) != 6:
                 _log(f"[worker] unexpected message {message[:1]!r}")
                 return EXIT_PROTOCOL
-            _kind, task_id, job, job_cache_dir, use_cache, attempt, fault = message
-            effective_cache_dir = cache_dir if cache_dir is not None else job_cache_dir
+            _kind, task_id, job, store, attempt, fault = message
+            if store is not None and cache_dir:
+                store = ResultStore(cache_dir)
             try:
-                outcome = _simulate(job, effective_cache_dir, use_cache, attempt, fault)
+                outcome = run_attempt(job, store, attempt, fault)
                 reply: Tuple = ("ok", task_id, outcome)
             except BaseException as error:
                 reply = ("err", task_id, error)

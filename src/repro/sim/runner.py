@@ -1,4 +1,4 @@
-"""Parallel sweep runner: fan independent simulations across processes.
+"""Sweep runner: one collection loop over pluggable executor backends.
 
 Every reproduced figure is a grid of independent ``(app, config, scale)``
 simulations — the embarrassingly-parallel shape of TLB-sweep
@@ -9,21 +9,26 @@ such a grid:
 - **Deduplicated**: jobs are identified by the experiment cache key
   (:func:`repro.experiments.common.cache_key`); duplicate submissions and
   already-cached results are never simulated twice.
-- **Parallel**: unique, uncached jobs fan across a
-  ``concurrent.futures.ProcessPoolExecutor``. Worker count comes from the
-  ``jobs`` argument, else the ``REPRO_JOBS`` environment variable, else
-  ``os.cpu_count()``. At one worker the runner degrades to a plain
-  in-process loop, so ``REPRO_JOBS=1`` keeps pdb/coverage/profiling usable.
+- **One attempt, one loop, any backend**: every attempt runs
+  :func:`run_attempt` — fault hook, optional profiler, the simulation
+  against the run's :class:`~repro.sim.store.ResultStore` — wherever it
+  executes, and one collection loop drives every
+  :class:`~repro.sim.executors.base.SweepExecutor` (serial in-process, a
+  private or the service's shared process pool, remote workers). Worker
+  count comes from the ``jobs`` argument, else ``REPRO_JOBS``, else
+  ``os.cpu_count()``; a pool that one worker or one pending job would use
+  runs in-process, so ``REPRO_JOBS=1`` keeps pdb/coverage/profiling
+  usable.
 - **Deterministic**: the simulator itself is deterministic, workers share
   nothing mutable, and results are reassembled by submission index — a
   parallel sweep returns byte-identical results to a serial one, in
   submission order (``tests/sim/test_runner.py`` enforces this).
-- **Fault-tolerant**: transient worker exceptions are retried with
-  exponential backoff (``max_retries``), hung jobs are bounded by a
-  per-job ``timeout``, and a crashed worker (``BrokenProcessPool``) does
-  not abort the sweep: the pool is rebuilt and the lost jobs re-submitted.
-  Jobs that repeatedly coincide with pool crashes are re-run one at a
-  time in a fresh single-worker pool, so an innocent bystander of a
+- **Fault-tolerant**: failed attempts are retried with exponential
+  backoff (``max_retries``), hung jobs are bounded by a per-job
+  ``timeout``, and a crashed worker (``BrokenProcessPool``) does not abort
+  the sweep: the executor is recycled and the lost jobs re-submitted.
+  Jobs that repeatedly coincide with crashes are re-run one at a time in
+  the backend's most isolated context, so an innocent bystander of a
   crashing neighbour still completes and the true culprit is attributed
   precisely. A job that still fails after all of that becomes a terminal
   :class:`JobFailure` record; with ``keep_going=True`` the sweep finishes
@@ -45,20 +50,25 @@ process right before the simulation — or set the ``REPRO_FAULT_SPEC``
 environment variable (see :func:`parse_fault_spec`) to inject exceptions,
 hangs, and hard crashes deterministically.
 
-The runner warms both the in-process and on-disk caches, so experiment
-harnesses can enumerate their grid, push it through the runner, and then
-assemble rows with ordinary :func:`repro.experiments.common.run_app` calls
-that all hit the cache.
+Caches: the runner resolves one store per run from
+:func:`repro.experiments.common.default_store` (``REPRO_CACHE_DIR`` /
+``--cache-dir``) and hands it to every attempt; attempts read and write
+that store but never a process memo, and only the runner's own process
+memoizes finished results. Experiment harnesses can therefore enumerate
+their grid, push it through the runner, and then assemble rows with
+ordinary :func:`repro.experiments.common.run_app` calls that all hit the
+cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
@@ -74,6 +84,7 @@ from repro.sim.profiling import (
 )
 from repro.sim.results import SimResult
 from repro.sim.stats import _percentile as _linear_percentile
+from repro.sim.store import ResultStore, counters_delta, counters_snapshot
 
 #: Environment variable controlling the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -218,7 +229,8 @@ class SweepReport:
     #: Disk-store counter increments during this sweep (hits, misses,
     #: stores, quarantined, ...; see :mod:`repro.sim.store`). Counted in
     #: the runner's process only — pool/remote workers keep their own
-    #: process-wide counters — and empty when no disk cache is configured.
+    #: process-wide counters — and empty when the run has no store (no
+    #: disk cache configured, or ``use_cache=False``).
     store: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -580,9 +592,9 @@ def _normalize(job: JobLike) -> SweepJob:
 class WorkerOutcome:
     """Everything a successful simulation attempt reports back.
 
-    Picklable: crosses the process-pool boundary on the parallel path and
-    is built in-process on the serial path, so both paths feed identical
-    telemetry into :class:`JobTiming` / :class:`SweepReport`.
+    Picklable: crosses the process boundary on the pool and remote
+    backends and stays in-process on the serial one, so every backend
+    feeds identical telemetry into :class:`JobTiming` / :class:`SweepReport`.
     """
 
     result: SimResult
@@ -591,102 +603,36 @@ class WorkerOutcome:
     hotspots: Optional[List[Hotspot]] = None
 
 
-def _simulate(
+def run_attempt(
     job: SweepJob,
-    cache_dir: str,
-    use_cache: bool = True,
-    attempt: int = 1,
-    fault: Optional[Callable[[SweepJob, int], None]] = None,
+    store: Optional[ResultStore],
+    attempt: int,
+    fault: Optional[Callable[[SweepJob, int], None]],
 ) -> WorkerOutcome:
-    """Worker-side body: simulate one job, honouring the disk cache.
+    """One attempt, the body every backend runs wherever it executes:
+    fault hook, optional profiler, then the job simulated against the
+    runner's ``store`` (``None``: no disk cache, always simulate).
 
-    Runs in a separate process under the pool executor. ``cache_dir`` and
-    ``use_cache`` are passed explicitly rather than relying on a forked
-    copy of module state: under the fork start method a worker inherits
-    the parent's populated in-process ``_CACHE``, which must never be
-    consulted when the runner was built with ``use_cache=False`` (and is
-    stale by definition otherwise — the disk cache is authoritative
-    across processes).
+    It never reads or writes the executing process's memo — only the
+    runner's own process memoizes — so long-lived pool workers, service
+    workers and ``repro worker`` processes keep no results.
     """
 
     from repro.experiments import common
 
-    common._CACHE_DIR = cache_dir
-    if not use_cache:
-        common._CACHE = {}
     started = time.perf_counter()
     if fault is not None:
         fault(job, attempt)
     top_n = profile_top()
-    if top_n:
-        with HotspotProfiler(top_n) as profiler:
-            result = common.run_app(
-                job.app_name, job.config, job.scale, use_cache=use_cache
-            )
-        hotspots = profiler.hotspots()
-    else:
-        result = common.run_app(
-            job.app_name, job.config, job.scale, use_cache=use_cache
-        )
-        hotspots = None
+    profiler = HotspotProfiler(top_n) if top_n else None
+    with profiler or contextlib.nullcontext():
+        result = common.simulate(job.app_name, job.config, job.scale, store)
     return WorkerOutcome(
         result=result,
         duration_s=time.perf_counter() - started,
         worker_pid=os.getpid(),
-        hotspots=hotspots,
+        hotspots=profiler.hotspots() if profiler else None,
     )
-
-
-class PoolHost:
-    """Owns the :class:`ProcessPoolExecutor` lifecycle for a parallel sweep.
-
-    :class:`SweepRunner` historically created one private pool per
-    ``run()`` and tore it down afterwards. The service front-end
-    (:mod:`repro.service`) instead batches many requests onto one
-    long-lived pool — so the pool lifecycle is lifted into this
-    executor-facing contract:
-
-    - :meth:`acquire` — lease a pool for one sweep. Returns the pool and
-      the effective worker count the runner may keep in flight (a shared
-      host may cap below the runner's ask).
-    - :meth:`recycle` — the leased pool broke (worker crash, hung job);
-      replace it with a fresh one. The old pool must be abandoned with
-      ``shutdown(wait=False, cancel_futures=True)``.
-    - :meth:`release` — the sweep is done with the pool. ``dirty=True``
-      means futures may still be in flight (the sweep aborted mid-run);
-      a reusing host must not hand that pool to the next sweep.
-
-    The default :class:`PrivatePoolHost` reproduces the historical
-    behaviour exactly; :class:`repro.service.executor.SharedProcessPool`
-    keeps the pool across leases and evicts it after an idle period.
-    """
-
-    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, int]:
-        raise NotImplementedError
-
-    def recycle(
-        self, pool: ProcessPoolExecutor, workers: int, reason: str
-    ) -> ProcessPoolExecutor:
-        raise NotImplementedError
-
-    def release(self, pool: ProcessPoolExecutor, dirty: bool = False) -> None:
-        raise NotImplementedError
-
-
-class PrivatePoolHost(PoolHost):
-    """One fresh pool per sweep, torn down when the sweep finishes."""
-
-    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, int]:
-        return ProcessPoolExecutor(max_workers=workers), workers
-
-    def recycle(
-        self, pool: ProcessPoolExecutor, workers: int, reason: str
-    ) -> ProcessPoolExecutor:
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def release(self, pool: ProcessPoolExecutor, dirty: bool = False) -> None:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -694,8 +640,14 @@ class _Pending:
     """Mutable retry state of one unique job awaiting execution."""
 
     job: SweepJob
+    key: str
     attempt: int = 1
     not_before: float = 0.0  # monotonic gate implementing retry backoff
+    submitted: float = 0.0  # monotonic submission time of the live attempt
+
+    @property
+    def label(self) -> str:
+        return f"{self.job.app_name} {self.job.config.scheme.value}"
 
 
 class SweepRunner:
@@ -714,8 +666,9 @@ class SweepRunner:
         still collapsed within the one call).
     timeout:
         Per-job wall-clock budget in seconds (``None`` = unbounded;
-        default from ``REPRO_TIMEOUT``). Enforced on the parallel path
-        only — a single in-process simulation cannot be preempted.
+        default from ``REPRO_TIMEOUT``). Enforced on process-backed
+        executors only — a single in-process simulation cannot be
+        preempted.
     max_retries:
         Extra attempts granted to a failing job beyond the first
         (default from ``REPRO_MAX_RETRIES``, else 2).
@@ -731,20 +684,17 @@ class SweepRunner:
         Optional picklable fault-injection hook ``fault(job, attempt)``
         run in the executing process before each simulation attempt.
         Defaults to ``REPRO_FAULT_SPEC`` (parsed) when set.
-    pool_host:
-        Optional :class:`PoolHost` owning the process pool's lifecycle.
-        ``None`` (default) gives every sweep a private pool, torn down
-        when the sweep finishes; the service passes a shared host so
-        concurrent requests batch onto one long-lived pool. Only
-        meaningful with the ``"pool"`` executor.
     executor:
         Which backend executes attempts (see :mod:`repro.sim.executors`):
-        ``"pool"`` (default, from ``REPRO_EXECUTOR``) fans across a local
-        process pool, degrading to the in-process serial path at one
-        worker; ``"serial"`` forces the in-process path regardless of
-        worker count; or a :class:`~repro.sim.executors.base.SweepExecutor`
-        *instance* (the only way to select ``"remote"``, which needs a
-        live coordinator — ``repro sweep --executor remote`` builds one).
+        ``"pool"`` (default, from ``REPRO_EXECUTOR``) fans across a
+        private local process pool; ``"serial"`` runs in-process
+        regardless of worker count; or a
+        :class:`~repro.sim.executors.base.SweepExecutor` *instance* — the
+        service's shared :class:`~repro.service.executor.SharedProcessPool`,
+        or a remote executor (the only way to select ``"remote"``, which
+        needs a live coordinator; ``repro sweep --executor remote`` builds
+        one). A pool, private or shared, runs in-process when only one
+        worker or one pending job would use it.
     """
 
     def __init__(
@@ -757,7 +707,6 @@ class SweepRunner:
         retry_backoff_s: Optional[float] = None,
         keep_going: Optional[bool] = None,
         fault: Optional[Callable[[SweepJob, int], None]] = None,
-        pool_host: Optional[PoolHost] = None,
         executor: Union[str, "SweepExecutor", None] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
@@ -788,7 +737,6 @@ class SweepRunner:
             if spec:
                 fault = parse_fault_spec(spec)
         self.fault = fault
-        self.pool_host = pool_host
         if executor is None:
             executor = os.environ.get(EXECUTOR_ENV, "").strip() or "pool"
         if isinstance(executor, str):
@@ -827,17 +775,18 @@ class SweepRunner:
         self, jobs: Sequence[JobLike]
     ) -> Tuple[List[Optional[SimResult]], SweepReport]:
         from repro.experiments import common
-        from repro.sim import store as result_store
 
         started = time.perf_counter()
-        store_before = result_store.counters_snapshot()
+        store_before = counters_snapshot()
+        # One store per run, handed to every attempt wherever it executes.
+        store = common.default_store() if self.use_cache else None
         normalized = [_normalize(job) for job in jobs]
         report = SweepReport(
             jobs_submitted=len(normalized),
             workers=self.workers,
             profiled=bool(profile_top()),
         )
-        self._hotspot_groups: List[List[Hotspot]] = []
+        self._hotspot_groups = []
 
         # Deduplicate by cache key, keeping first-submission order.
         unique: Dict[str, SweepJob] = {}
@@ -850,25 +799,25 @@ class SweepRunner:
         report.unique_jobs = len(unique)
 
         resolved: Dict[str, Optional[SimResult]] = {}
-        pending: List[SweepJob] = []
+        pending: List[_Pending] = []
         for key, job in unique.items():
-            cached = self._probe_cache(common, key) if self.use_cache else None
-            if cached is not None:
-                resolved[key] = cached
-                report.cache_hits += 1
-                report.timings.append(
-                    JobTiming(
-                        key=key,
-                        app_name=job.app_name,
-                        scheme=job.config.scheme.value,
-                        duration_s=0.0,
-                        cached=True,
-                        attempts=0,
-                        worker_pid=0,
-                    )
+            cached = self._probe_cache(common, store, key) if self.use_cache else None
+            if cached is None:
+                pending.append(_Pending(job, key))
+                continue
+            resolved[key] = cached
+            report.cache_hits += 1
+            report.timings.append(
+                JobTiming(
+                    key=key,
+                    app_name=job.app_name,
+                    scheme=job.config.scheme.value,
+                    duration_s=0.0,
+                    cached=True,
+                    attempts=0,
+                    worker_pid=0,
                 )
-            else:
-                pending.append(job)
+            )
 
         try:
             if pending:
@@ -877,16 +826,12 @@ class SweepRunner:
                     f"({report.cache_hits} cache hit(s)) on "
                     f"{min(self.workers, len(pending))} worker(s)"
                 )
-                executor = self._resolve_executor(len(pending))
-                if executor is None:
-                    self._run_serial(common, pending, resolved, report)
-                else:
-                    self._run_parallel(common, pending, resolved, report, executor)
+                self._collect(common, store, pending, resolved, report)
         finally:
             report.jobs_simulated = len(pending)
             report.wall_clock_s = time.perf_counter() - started
-            if common._CACHE_DIR:
-                report.store = result_store.counters_delta(store_before)
+            if store is not None:
+                report.store = counters_delta(store_before)
             if self._hotspot_groups:
                 report.hotspots = merge_hotspots(
                     self._hotspot_groups, profile_top() or DEFAULT_PROFILE_TOP
@@ -897,55 +842,47 @@ class SweepRunner:
             self._log(report.summary())
         return [resolved[key] for key in keys], report
 
-    def _resolve_executor(self, pending_count: int):
-        """The executor backend for this run, or ``None`` for the
-        in-process serial path.
+    def _executor_for(self, pending_count: int) -> "SweepExecutor":
+        """The backend for one run.
 
-        ``"serial"`` always runs in-process; ``"pool"`` degrades to the
-        in-process path when only one worker (or one job) would be used —
-        the historical behaviour that keeps ``REPRO_JOBS=1`` free of any
-        pool; an explicit :class:`SweepExecutor` instance is always
-        driven through the parallel collection loop.
+        The width-1 rule: a pool — private or shared — that only one
+        worker or one pending job would use runs in-process instead, so
+        ``REPRO_JOBS=1`` stays free of any pool (pdb, coverage and
+        profiling keep working).
         """
 
-        if self.executor == "serial":
-            return None
-        if self.executor == "pool":
-            if self.workers == 1 or pending_count == 1:
-                return None
-            from repro.sim.executors.local import PoolExecutor
+        from repro.sim.executors.local import PoolExecutor, SerialExecutor
 
-            return PoolExecutor(self.pool_host)
-        return self.executor
+        executor = PoolExecutor() if self.executor == "pool" else self.executor
+        if executor == "serial" or (
+            isinstance(executor, PoolExecutor)
+            and min(self.workers, pending_count) == 1
+        ):
+            return SerialExecutor()
+        return executor
 
     # -- cache plumbing ----------------------------------------------------
 
     @staticmethod
-    def _probe_cache(common, key: str) -> Optional[SimResult]:
+    def _probe_cache(common, store, key: str) -> Optional[SimResult]:
         cached = common._CACHE.get(key)
-        if cached is not None:
-            return cached
-        cached = common._load_disk(key)
-        if cached is not None:
-            common._CACHE[key] = cached
+        if cached is None and store is not None:
+            cached = store.load(key)
+            if cached is not None:
+                common._CACHE[key] = cached
         return cached
 
-    def _absorb(self, common, job: SweepJob, key: str, result: SimResult) -> None:
-        """Fold a finished result into the parent-process caches."""
+    def _absorb(self, common, store, key: str, result: SimResult) -> None:
+        """Fold a finished result into this process's memo and store."""
 
         if not self.use_cache:
             return
-        if key not in common._CACHE:
-            common._CACHE[key] = result
-        # Serial runs store to disk inside run_app; a pool worker stores
-        # from its own process. Either way the file exists by now unless
-        # caching is disabled or the worker raced a quarantine — storing
-        # again is an atomic, idempotent overwrite.
-        path = common._disk_path(key)
-        if path is not None and not os.path.exists(path):
-            common._store_disk(key, result)
-
-    # -- failure plumbing --------------------------------------------------
+        common._CACHE.setdefault(key, result)
+        # The attempt stored the entry from whichever process ran it, so
+        # the file exists by now unless the attempt raced a quarantine —
+        # storing again is an atomic, idempotent overwrite.
+        if store is not None and not os.path.exists(store.path_for(key)):
+            store.store(key, result)
 
     def _backoff_delay(self, failed_attempts: int) -> float:
         if self.retry_backoff_s <= 0:
@@ -954,175 +891,94 @@ class SweepRunner:
             _BACKOFF_CAP_S, self.retry_backoff_s * (2 ** max(0, failed_attempts - 1))
         )
 
-    def _record_success(
-        self,
-        common,
-        report,
-        resolved,
-        job: SweepJob,
-        key: str,
-        outcome: WorkerOutcome,
-        attempts: int,
-    ) -> None:
-        resolved[key] = outcome.result
-        self._absorb(common, job, key, outcome.result)
-        if outcome.hotspots:
-            self._hotspot_groups.append(outcome.hotspots)
-        report.timings.append(
-            JobTiming(
-                key=key,
-                app_name=job.app_name,
-                scheme=job.config.scheme.value,
-                duration_s=outcome.duration_s,
-                cached=False,
-                attempts=attempts,
-                worker_pid=outcome.worker_pid,
-            )
-        )
+    # -- the collection loop -----------------------------------------------
 
-    def _record_failure(
-        self,
-        report: SweepReport,
-        resolved,
-        job: SweepJob,
-        key: str,
-        attempts: int,
-        error: BaseException,
-        disposition: str,
-    ) -> None:
-        failure = JobFailure(
-            key=key,
-            app_name=job.app_name,
-            scheme=job.config.scheme.value,
-            attempts=attempts,
-            error=repr(error),
-            disposition=disposition,
-        )
-        report.failures.append(failure)
-        with _TELEMETRY_LOCK:
-            _FAILURE_LOG.append(failure)
-        resolved[key] = None
-        self._log(f"[sweep] FAILED {failure.describe()}")
-        if not self.keep_going:
-            raise SweepAbort(failure, report)
+    def _collect(self, common, store, pending, resolved, report) -> None:
+        """Drive ``pending`` through one executor until every job has
+        succeeded or failed terminally — the one loop for every backend."""
 
-    # -- execution strategies ----------------------------------------------
-
-    def _run_serial(self, common, pending, resolved, report) -> None:
-        total = len(pending)
-        for index, job in enumerate(pending, start=1):
-            key = job.key()
-            attempt = 1
-            while True:
-                job_started = time.perf_counter()
-                try:
-                    if self.fault is not None:
-                        self.fault(job, attempt)
-                    top_n = profile_top()
-                    if top_n:
-                        with HotspotProfiler(top_n) as profiler:
-                            result = common.run_app(
-                                job.app_name, job.config, job.scale,
-                                use_cache=self.use_cache,
-                            )
-                        hotspots: Optional[List[Hotspot]] = profiler.hotspots()
-                    else:
-                        result = common.run_app(
-                            job.app_name, job.config, job.scale,
-                            use_cache=self.use_cache,
-                        )
-                        hotspots = None
-                except Exception as error:
-                    if attempt <= self.max_retries:
-                        report.retries += 1
-                        self._log(
-                            f"[sweep] retrying {job.app_name} "
-                            f"{job.config.scheme.value} "
-                            f"(attempt {attempt} failed: {error!r})"
-                        )
-                        time.sleep(self._backoff_delay(attempt))
-                        attempt += 1
-                        continue
-                    self._record_failure(
-                        report, resolved, job, key, attempt, error, "exception"
-                    )
-                    break
-                duration = time.perf_counter() - job_started
-                outcome = WorkerOutcome(
-                    result=result,
-                    duration_s=duration,
-                    worker_pid=os.getpid(),
-                    hotspots=hotspots,
-                )
-                self._record_success(
-                    common, report, resolved, job, key, outcome, attempt
-                )
-                self._log(
-                    f"[sweep] {index}/{total} {job.app_name} "
-                    f"{job.config.scheme.value} {duration:.2f}s"
-                )
-                break
-
-    def _run_parallel(self, common, pending, resolved, report, executor) -> None:
-        total = len(pending)
-        done_count = 0
-        cache_dir = common._CACHE_DIR if self.use_cache else ""
-        queue: deque = deque(_Pending(job) for job in pending)
+        executor = self._executor_for(len(pending))
+        total, done = len(pending), 0
+        queue: deque = deque(pending)
         suspects: List[_Pending] = []
         in_flight: Dict[Future, _Pending] = {}
-        started_at: Dict[Future, float] = {}
         workers = executor.acquire(min(self.workers, total))
 
-        def submit(entry: _Pending) -> bool:
-            try:
-                future = executor.submit(
-                    entry.job,
-                    cache_dir,
-                    self.use_cache,
-                    entry.attempt,
-                    self.fault,
+        def succeed(entry: _Pending, outcome: WorkerOutcome) -> None:
+            nonlocal done
+            done += 1
+            resolved[entry.key] = outcome.result
+            self._absorb(common, store, entry.key, outcome.result)
+            if outcome.hotspots:
+                self._hotspot_groups.append(outcome.hotspots)
+            report.timings.append(
+                JobTiming(
+                    key=entry.key,
+                    app_name=entry.job.app_name,
+                    scheme=entry.job.config.scheme.value,
+                    duration_s=outcome.duration_s,
+                    cached=False,
+                    attempts=entry.attempt,
+                    worker_pid=outcome.worker_pid,
                 )
-            except (BrokenProcessPool, RuntimeError):
-                return False
-            in_flight[future] = entry
-            started_at[future] = time.monotonic()
-            return True
+            )
+            self._log(
+                f"[sweep] {done}/{total} {entry.label} {outcome.duration_s:.2f}s"
+            )
 
-        def recycle_executor(reason: str) -> None:
-            # A wedged or crashed execution context cannot be reclaimed:
-            # have the backend replace it (the pool backend abandons the
-            # pool and builds a fresh one; the remote backend drops stale
-            # task ids so late results are discarded). In-flight jobs are
-            # re-queued as innocent collateral — their attempt count is
-            # untouched, so only genuinely failing jobs burn retries.
-            for future, entry in list(in_flight.items()):
-                entry.not_before = 0.0
-                queue.append(entry)
-            in_flight.clear()
-            started_at.clear()
-            executor.recycle(reason)
-            self._log(f"[sweep] {reason}; executor recycled, lost jobs re-queued")
+        def fail(entry: _Pending, error: BaseException, disposition: str) -> None:
+            failure = JobFailure(
+                key=entry.key,
+                app_name=entry.job.app_name,
+                scheme=entry.job.config.scheme.value,
+                attempts=entry.attempt,
+                error=repr(error),
+                disposition=disposition,
+            )
+            report.failures.append(failure)
+            with _TELEMETRY_LOCK:
+                _FAILURE_LOG.append(failure)
+            resolved[entry.key] = None
+            self._log(f"[sweep] FAILED {failure.describe()}")
+            if not self.keep_going:
+                raise SweepAbort(failure, report)
 
-        def crash_retry(entry: _Pending, error: BaseException) -> None:
-            # A worker died while this job was in flight. The culprit
-            # cannot be attributed from here (every in-flight future
-            # reports BrokenProcessPool), so retry; once retries are
-            # exhausted, defer to the single-job isolation pass below
-            # rather than declaring the job guilty.
+        def retry(entry: _Pending, error: BaseException, disposition: str) -> None:
+            # Every failed attempt is re-queued with backoff while retries
+            # remain. Past that, a crash goes to the isolation pass (every
+            # in-flight future reports the same BrokenProcessPool, so the
+            # culprit is unknown) and anything else fails terminally.
             if entry.attempt <= self.max_retries:
                 report.retries += 1
+                self._log(
+                    f"[sweep] retrying {entry.label} "
+                    f"(attempt {entry.attempt} failed: {error!r})"
+                )
                 entry.attempt += 1
                 entry.not_before = time.monotonic() + self._backoff_delay(
                     entry.attempt - 1
                 )
                 queue.append(entry)
-            else:
+            elif disposition == "crash":
                 suspects.append(entry)
+            else:
+                fail(entry, error, disposition)
+
+        def recycle(reason: str) -> None:
+            # A wedged or crashed execution context cannot be reclaimed:
+            # have the backend replace it. In-flight jobs are re-queued as
+            # innocent collateral with their attempt counts untouched, so
+            # only genuinely failing jobs burn retries.
+            for entry in in_flight.values():
+                entry.not_before = 0.0
+                queue.append(entry)
+            in_flight.clear()
+            executor.recycle(reason)
+            self._log(f"[sweep] {reason}; executor recycled, lost jobs re-queued")
 
         try:
             while queue or in_flight:
                 now = time.monotonic()
-                submit_failed = False
                 for _ in range(len(queue)):
                     if len(in_flight) >= workers:
                         break
@@ -1130,13 +986,16 @@ class SweepRunner:
                     if entry.not_before > now:
                         queue.append(entry)
                         continue
-                    if not submit(entry):
+                    try:
+                        future = executor.submit(
+                            entry.job, store, entry.attempt, self.fault
+                        )
+                    except (BrokenProcessPool, RuntimeError):
                         queue.appendleft(entry)
-                        submit_failed = True
+                        recycle("executor broke on submit")
                         break
-                if submit_failed:
-                    recycle_executor("executor broke on submit")
-                    continue
+                    entry.submitted = time.monotonic()
+                    in_flight[future] = entry
                 if not in_flight:
                     # Everything queued is backing off; sleep to the gate.
                     gate = min(entry.not_before for entry in queue)
@@ -1145,10 +1004,10 @@ class SweepRunner:
 
                 wait_timeout = None
                 if self.timeout is not None:
-                    nearest = min(
-                        started_at[future] + self.timeout for future in in_flight
+                    nearest = min(e.submitted for e in in_flight.values())
+                    wait_timeout = (
+                        max(0.0, nearest + self.timeout - time.monotonic()) + 0.01
                     )
-                    wait_timeout = max(0.0, nearest - time.monotonic()) + 0.01
                 gates = [e.not_before for e in queue if e.not_before > now]
                 if gates and len(in_flight) < workers:
                     gate_wait = max(0.0, min(gates) - now) + 0.001
@@ -1161,156 +1020,64 @@ class SweepRunner:
                     set(in_flight), timeout=wait_timeout, return_when=FIRST_COMPLETED
                 )
 
-                pool_broken = False
+                crashed = False
                 for future in finished:
                     entry = in_flight.pop(future)
-                    started_at.pop(future, None)
-                    job = entry.job
-                    key = job.key()
                     try:
                         outcome = future.result()
                     except BrokenProcessPool as error:
-                        pool_broken = True
-                        crash_retry(entry, error)
+                        crashed = True
+                        retry(entry, error, "crash")
                     except Exception as error:
-                        if entry.attempt <= self.max_retries:
-                            report.retries += 1
-                            self._log(
-                                f"[sweep] retrying {job.app_name} "
-                                f"{job.config.scheme.value} "
-                                f"(attempt {entry.attempt} failed: {error!r})"
-                            )
-                            entry.attempt += 1
-                            entry.not_before = time.monotonic() + self._backoff_delay(
-                                entry.attempt - 1
-                            )
-                            queue.append(entry)
-                        else:
-                            self._record_failure(
-                                report,
-                                resolved,
-                                job,
-                                key,
-                                entry.attempt,
-                                error,
-                                "exception",
-                            )
+                        retry(entry, error, "exception")
                     else:
-                        self._record_success(
-                            common, report, resolved, job, key, outcome,
-                            entry.attempt,
-                        )
-                        done_count += 1
-                        self._log(
-                            f"[sweep] {done_count}/{total} {job.app_name} "
-                            f"{job.config.scheme.value} "
-                            f"{outcome.duration_s:.2f}s"
-                        )
-                if pool_broken:
-                    recycle_executor("worker process crashed")
+                        succeed(entry, outcome)
+                if crashed:
+                    recycle("worker process crashed")
                     continue
 
                 if self.timeout is not None:
                     now = time.monotonic()
                     hung = [
-                        future
-                        for future in in_flight
-                        if now - started_at[future] >= self.timeout
+                        future for future, entry in in_flight.items()
+                        if now - entry.submitted >= self.timeout
                         and not future.done()
                     ]
-                    if hung:
-                        for future in hung:
-                            entry = in_flight.pop(future)
-                            started_at.pop(future, None)
-                            job = entry.job
-                            error = FuturesTimeoutError(
+                    for future in hung:
+                        retry(
+                            in_flight.pop(future),
+                            FuturesTimeoutError(
                                 f"job exceeded the per-job timeout "
                                 f"({self.timeout:.2f}s)"
-                            )
-                            if entry.attempt <= self.max_retries:
-                                report.retries += 1
-                                self._log(
-                                    f"[sweep] retrying {job.app_name} "
-                                    f"{job.config.scheme.value} "
-                                    f"(attempt {entry.attempt} timed out)"
-                                )
-                                entry.attempt += 1
-                                entry.not_before = (
-                                    time.monotonic()
-                                    + self._backoff_delay(entry.attempt - 1)
-                                )
-                                queue.append(entry)
-                            else:
-                                self._record_failure(
-                                    report,
-                                    resolved,
-                                    job,
-                                    job.key(),
-                                    entry.attempt,
-                                    error,
-                                    "timeout",
-                                )
-                        recycle_executor(f"{len(hung)} job(s) timed out")
+                            ),
+                            "timeout",
+                        )
+                    if hung:
+                        recycle(f"{len(hung)} job(s) timed out")
 
-            if suspects:
-                # Still inside the try so the executor (and, for the
-                # remote backend, its coordinator) is alive for the
-                # isolation pass.
-                self._run_isolated(
-                    common, suspects, resolved, report, cache_dir, executor
-                )
+            # Crash attribution, still inside the try so the executor (and
+            # a remote coordinator) is alive: one suspect at a time in the
+            # backend's most isolated context. An innocent bystander
+            # completes; a job that kills even that context is the culprit.
+            for entry in suspects:
+                self._log(f"[sweep] isolating {entry.label} for crash attribution")
+                try:
+                    outcome = executor.run_isolated(
+                        entry.job, store, entry.attempt, self.fault, self.timeout
+                    )
+                except BrokenProcessPool as error:
+                    fail(entry, error, "crash")
+                except FuturesTimeoutError as error:
+                    fail(entry, error, "timeout")
+                except Exception as error:
+                    fail(entry, error, "exception")
+                else:
+                    succeed(entry, outcome)
         finally:
             # dirty: an exception (e.g. SweepAbort) left futures in
             # flight — a backend that reuses contexts must not lease
             # that context again.
             executor.close(dirty=bool(in_flight))
-
-    def _run_isolated(
-        self, common, suspects, resolved, report, cache_dir, executor
-    ) -> None:
-        """Crash-attribution fallback: one job at a time, isolated.
-
-        Jobs land here when their retries were exhausted by executor
-        crashes. Run serially in the backend's most isolated context (a
-        fresh single-worker pool locally; a lone remote attempt), an
-        innocent bystander completes normally, while a job that kills
-        even its isolated context is the culprit and gets a terminal
-        ``"crash"`` record.
-        """
-
-        for entry in suspects:
-            job = entry.job
-            key = job.key()
-            self._log(
-                f"[sweep] isolating {job.app_name} {job.config.scheme.value} "
-                "for crash attribution"
-            )
-            try:
-                outcome = executor.run_isolated(
-                    job, cache_dir, self.use_cache, entry.attempt, self.fault,
-                    self.timeout,
-                )
-            except BrokenProcessPool as error:
-                self._record_failure(
-                    report, resolved, job, key, entry.attempt, error, "crash"
-                )
-            except FuturesTimeoutError as error:
-                self._record_failure(
-                    report, resolved, job, key, entry.attempt, error, "timeout"
-                )
-            except Exception as error:
-                self._record_failure(
-                    report, resolved, job, key, entry.attempt, error, "exception"
-                )
-            else:
-                self._record_success(
-                    common, report, resolved, job, key, outcome, entry.attempt
-                )
-                self._log(
-                    f"[sweep] isolated {job.app_name} "
-                    f"{job.config.scheme.value} completed in "
-                    f"{outcome.duration_s:.2f}s"
-                )
 
 
 def run_sweep(

@@ -150,12 +150,13 @@ class TestConcurrentWriters:
     def test_concurrent_writers_leave_single_valid_file(self, tmp_path):
         result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
         key = common.cache_key(APP, table1_config(), SCALE)
+        store = common.default_store()
         errors = []
 
         def writer():
             try:
                 for _ in range(25):
-                    common._store_disk(key, result)
+                    store.store(key, result)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -169,7 +170,7 @@ class TestConcurrentWriters:
         assert len(cache_files(tmp_path)) == 1
         # No orphaned temp files left behind by the atomic-replace dance.
         assert not _walk_suffix(tmp_path, ".tmp")
-        loaded = common._load_disk(key)
+        loaded = store.load(key)
         assert loaded is not None
         assert common.result_fingerprint(loaded) == common.result_fingerprint(result)
 
@@ -178,13 +179,14 @@ class TestConcurrentWriters:
 
         result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
         key = common.cache_key(APP, table1_config(), SCALE)
-        common._store_disk(key, result)
+        store = common.default_store()
+        store.store(key, result)
         stop = threading.Event()
         bad = []
 
         def reader():
             while not stop.is_set():
-                loaded = common._load_disk(key)
+                loaded = store.load(key)
                 if loaded is None or loaded.cycles != result.cycles:
                     bad.append(loaded)
                     return
@@ -192,14 +194,14 @@ class TestConcurrentWriters:
         thread = threading.Thread(target=reader)
         thread.start()
         for _ in range(200):
-            common._store_disk(key, result)
+            store.store(key, result)
         stop.set()
         thread.join()
         assert not bad
 
-    def test_no_disk_cache_dir_is_noop(self, monkeypatch):
+    def test_no_disk_cache_dir_is_noop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(common, "_CACHE_DIR", "")
-        result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
-        key = common.cache_key(APP, table1_config(), SCALE)
-        common._store_disk(key, result)  # must not raise or create anything
-        assert common._load_disk(key) is None
+        assert common.default_store() is None
+        # A cached run must not raise or create anything on disk.
+        common.run_app(APP, table1_config(), SCALE)
+        assert os.listdir(tmp_path) == []

@@ -125,22 +125,25 @@ class TestExecutorSelection:
         assert SweepRunner().executor == "pool"
 
     def test_serial_name_and_one_worker_pool_bypass_executors(self):
-        # The historical fast paths survive: the "serial" selector and a
-        # one-worker pool both run the legacy in-process loop directly.
-        assert SweepRunner(executor="serial")._resolve_executor(5) is None
-        assert SweepRunner(jobs=1)._resolve_executor(5) is None
-        assert SweepRunner(jobs=2)._resolve_executor(1) is None
-        resolved = SweepRunner(jobs=2)._resolve_executor(5)
+        # The historical fast paths survive: the "serial" selector, a
+        # one-worker pool and a one-job pool all run in-process, with no
+        # pool built.
+        assert isinstance(
+            SweepRunner(executor="serial")._executor_for(5), SerialExecutor
+        )
+        assert isinstance(SweepRunner(jobs=1)._executor_for(5), SerialExecutor)
+        assert isinstance(SweepRunner(jobs=2)._executor_for(1), SerialExecutor)
+        resolved = SweepRunner(jobs=2)._executor_for(5)
         assert isinstance(resolved, PoolExecutor)
 
     def test_explicit_instance_used_verbatim(self):
         instance = SerialExecutor()
-        assert SweepRunner(executor=instance)._resolve_executor(5) is instance
+        assert SweepRunner(executor=instance)._executor_for(5) is instance
 
     def test_serial_instance_matches_serial_name(self):
-        # The SerialExecutor instance goes through the parallel collection
-        # loop, the "serial" name through the legacy loop — results must
-        # be byte-identical.
+        # The SerialExecutor instance and the "serial" name select the
+        # same backend through different doors — results must be
+        # byte-identical.
         jobs = grid(apps=("ATAX", "GUPS"))
         by_name, _ = SweepRunner(executor="serial").run_with_report(jobs)
         common.clear_cache()
@@ -327,7 +330,7 @@ class TestRemoteProtocol:
         coordinator = Coordinator()
         coordinator.close()
         with pytest.raises(RuntimeError, match="closed"):
-            coordinator.submit_task(grid()[0], "", True, 1, None)
+            coordinator.submit_task(grid()[0], None, 1, None)
 
     def test_bad_hello_never_registers(self):
         coordinator = Coordinator()
@@ -346,7 +349,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], None, 1, None)
             message = _recv_msg(sock)
             assert message[0] == "job" and message[1] == task.task_id
             sock.close()  # the "worker" dies holding the job
@@ -360,7 +363,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], None, 1, None)
             _recv_msg(sock)  # the fake worker now "runs" the job
             coordinator.recycle("test recycle")
             _send_msg(sock, ("ok", task.task_id, "late result"))
@@ -371,7 +374,7 @@ class TestRemoteProtocol:
 
     def test_round_trip_through_in_process_worker(self):
         """Full protocol round trip with ``worker_main`` running in a
-        thread: submit → job → _simulate → ok → future resolves."""
+        thread: submit → job → run_attempt → ok → future resolves."""
 
         coordinator = Coordinator()
         exit_code = []
@@ -384,7 +387,7 @@ class TestRemoteProtocol:
         thread.start()
         try:
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], None, 1, None)
             outcome = task.future.result(timeout=120.0)
             assert outcome.result.app_name == "ATAX"
             assert outcome.worker_pid > 0
@@ -402,7 +405,7 @@ class TestRemoteProtocol:
         executor = RemoteExecutor(coordinator, min_workers=1)
         try:
             with pytest.raises(FuturesTimeoutError):
-                executor.run_isolated(grid()[0], "", True, 1, None, 0.2)
+                executor.run_isolated(grid()[0], None, 1, None, 0.2)
             assert coordinator.stats()["queued"] == 0  # dropped, not leaked
         finally:
             coordinator.close()

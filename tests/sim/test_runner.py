@@ -8,6 +8,7 @@ and no job simulated more than once. These tests pin all three down.
 import dataclasses
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,9 +21,11 @@ from repro.sim.runner import (
     SweepReport,
     SweepRunner,
     default_workers,
+    run_attempt,
     run_sweep,
 )
 from repro.sim.stats import _percentile as stats_percentile
+from repro.sim.store import ResultStore
 
 SCALE = 0.05
 
@@ -159,6 +162,49 @@ class TestCacheIsolation:
 
         results = SweepRunner(jobs=1, use_cache=False).run([job])
         assert results[0].cycles == genuine.cycles
+
+
+def _memo_state():
+    """The executing process's memo size and cache-dir knob."""
+
+    return len(common._CACHE), common._CACHE_DIR
+
+
+class TestAttempt:
+    def test_attempt_leaves_memo_and_cache_dir_unchanged(self, tmp_path, monkeypatch):
+        """The attempt simulates against the store it is handed: it must
+        neither memoize the result nor re-point the process-default
+        store, so long-lived workers keep nothing between jobs."""
+
+        default_dir = str(tmp_path / "default")
+        monkeypatch.setattr(common, "_CACHE_DIR", default_dir)
+        marker = object()
+        common._CACHE["unrelated"] = marker
+        store = ResultStore(str(tmp_path / "runner"))
+        job = small_grid()[0]
+
+        first = run_attempt(job, store, 1, None)
+        assert common._CACHE == {"unrelated": marker}
+        assert common._CACHE_DIR == default_dir
+        assert not os.path.exists(default_dir)
+        assert store.load(job.key()) is not None
+
+        # A second attempt is served from the store, still memo-free.
+        second = run_attempt(job, store, 2, None)
+        assert common.result_fingerprint(second.result) == (
+            common.result_fingerprint(first.result)
+        )
+        assert common._CACHE == {"unrelated": marker}
+        assert common._CACHE_DIR == default_dir
+
+    def test_long_lived_pool_worker_keeps_no_results(self, tmp_path):
+        job = small_grid()[0]
+        store = ResultStore(str(tmp_path))
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            before = pool.submit(_memo_state).result()
+            pool.submit(run_attempt, job, store, 1, None).result()
+            pool.submit(run_attempt, job, None, 1, None).result()
+            assert pool.submit(_memo_state).result() == before
 
 
 class TestReport:
