@@ -1,16 +1,15 @@
-"""Record event-vs-vectorized engine wall time as a perf-trajectory artifact.
+"""Record simulator-vs-estimator wall time as a perf-trajectory artifact.
 
 Runs a reduced Figure 13 grid (one job per application, rotating through
-the scheme variants — the same diagonal the equivalence battery uses)
-through both engines plus the analytical estimator, verifies byte
-identity on the way, and writes the honest timings to a JSON file that CI
-uploads on every run. Plotting the artifact over commits shows the fast
-paths' trajectory; a vectorized/event ratio drifting toward 1.0 means the
-fast path has rotted.
+the scheme variants) through the simulator and the analytical estimator
+and writes the timings to a JSON file that CI uploads on every run.
+Plotting the artifact over commits shows the simulator's trajectory
+against the closed-form fast tier.
 
-The vectorized engine's contract is byte identity, so it removes
-interpreter overhead only — expect roughly 1.0-1.6x here, not an
-order of magnitude (docs/MODEL.md section 9.1).
+Before timing, the same diagonal is simulated at the scale of the result
+pins (tests/pins/fingerprints.json) and every fingerprint is compared with
+its pin, so a timing is never reported for a simulator that computes
+something else.
 
 Usage: python benchmarks/bench_engine.py [--scale 0.05] [--out BENCH_engine.json]
 """
@@ -21,12 +20,17 @@ import argparse
 import json
 import platform
 import time
+from pathlib import Path
 
-from repro.experiments.common import result_fingerprint
+from repro.experiments.common import _config_signature, result_fingerprint
 from repro.experiments.fig13_main import sweep_jobs
 from repro.sim.analytical import estimate_app
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
+
+PIN_PATH = Path(__file__).resolve().parent.parent / "tests" / "pins" / "fingerprints.json"
+#: The scale the pins were generated at (tests/sim/test_pins.py).
+PIN_SCALE = 0.02
 
 
 def _diagonal(scale):
@@ -37,6 +41,28 @@ def _diagonal(scale):
         variants[index % len(variants)]
         for index, variants in enumerate(per_app[name] for name in apps)
     ]
+
+
+def _simulate(job):
+    app = make_app(job.app_name, scale=job.scale, page_size=job.config.page_size)
+    return GPUSystem(job.config).run(app)
+
+
+def _check_pins() -> int:
+    """Simulate the diagonal at the pins' scale; returns the job count.
+    Raises on a missing pin or a fingerprint that differs from its pin."""
+
+    pins = json.loads(PIN_PATH.read_text())
+    jobs = _diagonal(PIN_SCALE)
+    for job in jobs:
+        # The label format of tests/sim/test_pins.py.
+        label = (f"fig13/{job.app_name}/{job.config.scheme.value}/"
+                 f"{_config_signature(job.config)}")
+        assert label in pins, f"no pin for {label}"
+        assert [result_fingerprint(_simulate(job))] == pins[label], (
+            f"{label}: result differs from its pin"
+        )
+    return len(jobs)
 
 
 def _timed(func):
@@ -51,18 +77,12 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_engine.json")
     args = parser.parse_args()
 
+    checked = _check_pins()
+    print(f"pins: {checked} diagonal jobs match at scale {PIN_SCALE}")
+
     rows = []
     for job in _diagonal(args.scale):
-        app = make_app(
-            job.app_name, scale=job.scale, page_size=job.config.page_size
-        )
-        event, event_s = _timed(lambda: GPUSystem(job.config).run(app))
-        vector, vector_s = _timed(
-            lambda: GPUSystem(job.config.with_engine("vectorized")).run(app)
-        )
-        assert result_fingerprint(event) == result_fingerprint(vector), (
-            f"{job.app_name}/{job.config.scheme.value}: engines diverged"
-        )
+        _, event_s = _timed(lambda: _simulate(job))
         _, estimate_s = _timed(
             lambda: estimate_app(job.app_name, job.config, job.scale)
         )
@@ -71,36 +91,31 @@ def main() -> int:
                 "app": job.app_name,
                 "scheme": job.config.scheme.value,
                 "event_s": round(event_s, 4),
-                "vectorized_s": round(vector_s, 4),
                 "estimate_s": round(estimate_s, 4),
-                "speedup": round(event_s / vector_s, 3) if vector_s else None,
             }
         )
         print(
             f"{job.app_name:5s} {job.config.scheme.value:18s} "
-            f"event {event_s:6.3f}s  vectorized {vector_s:6.3f}s "
-            f"({event_s / vector_s:4.2f}x)  estimate {estimate_s:6.3f}s"
+            f"event {event_s:6.3f}s  estimate {estimate_s:6.3f}s"
         )
 
     total_event = sum(row["event_s"] for row in rows)
-    total_vector = sum(row["vectorized_s"] for row in rows)
+    total_estimate = sum(row["estimate_s"] for row in rows)
     payload = {
         "scale": args.scale,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "jobs": len(rows),
+        "pins_checked": checked,
         "total_event_s": round(total_event, 4),
-        "total_vectorized_s": round(total_vector, 4),
-        "overall_speedup": (
-            round(total_event / total_vector, 3) if total_vector else None
-        ),
+        "total_estimate_s": round(total_estimate, 4),
         "rows": rows,
     }
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2)
     print(
-        f"\n{len(rows)} jobs: event {total_event:.2f}s, vectorized "
-        f"{total_vector:.2f}s ({payload['overall_speedup']}x) -> {args.out}"
+        f"\n{len(rows)} jobs: event {total_event:.2f}s, estimate "
+        f"{total_estimate:.2f}s -> {args.out}"
     )
     return 0
 

@@ -66,6 +66,14 @@ class DucatiStore:
         )
         self._pom: "OrderedDict[tuple, TranslationEntry]" = OrderedDict()
         self.pom_capacity = config.pom_tlb_entries
+        self._counters = self.stats.counters
+        self._keys = {
+            event: f"{name}.{event}"
+            for event in (
+                "l2_hits", "l2_misses", "l2_lines_lost", "pom_hits", "pom_misses",
+                "fills",
+            )
+        }
 
     def _line_addr(self, key: tuple) -> int:
         # Eight translations share one line; adjacent VPNs pack together.
@@ -83,26 +91,26 @@ class DucatiStore:
         entry = self._directory.get(key)
         if entry is not None and self.shared_l2.cache.probe(self._line_addr(key)):
             self._directory.move_to_end(key)
-            self.stats.add(f"{self.name}.l2_hits")
+            self._counters[self._keys["l2_hits"]] += 1
             return entry, latency
-        self.stats.add(f"{self.name}.l2_misses")
+        self._counters[self._keys["l2_misses"]] += 1
         if entry is not None:
             # The line was evicted by data traffic; only the POM copy is
             # left.
             del self._directory[key]
-            self.stats.add(f"{self.name}.l2_lines_lost")
+            self._counters[self._keys["l2_lines_lost"]] += 1
 
         entry = self._pom.get(key)
         if entry is not None:
             self._pom.move_to_end(key)
-            self.stats.add(f"{self.name}.pom_hits")
+            self._counters[self._keys["pom_hits"]] += 1
             # A POM hit is an access to device memory; the refill also
             # re-installs the line in the L2 (contending with data).
             _, done = self.shared_l2.dram.access(self._line_addr(key), anchor)
             latency += (done - anchor) + self.config.pom_tlb_latency
             self._install_l2(entry)
             return entry, latency
-        self.stats.add(f"{self.name}.pom_misses")
+        self._counters[self._keys["pom_misses"]] += 1
         return None, latency
 
     def _install_l2(self, entry: TranslationEntry) -> None:
@@ -128,7 +136,7 @@ class DucatiStore:
     def fill(self, entry: TranslationEntry) -> None:
         """Install an L2-TLB victim end-to-end (LLC line + POM copy)."""
 
-        self.stats.add(f"{self.name}.fills")
+        self._counters[self._keys["fills"]] += 1
         self._install_pom(entry)
         self._install_l2(entry)
 

@@ -75,8 +75,6 @@ def _build_config(args) -> SystemConfig:
         config = config.with_page_size(args.page_size)
     if getattr(args, "l2_tlb_entries", None):
         config = config.with_l2_tlb_entries(args.l2_tlb_entries)
-    if getattr(args, "engine", None):
-        config = config.with_engine(args.engine)
     return config
 
 
@@ -242,10 +240,8 @@ def cmd_sweep(args) -> int:
 
     if args.cache_dir:
         common._CACHE_DIR = args.cache_dir
-    from repro.sim.runner import jobs_with_engine
 
-    grid = SWEEP_GRIDS[args.figure]
-    jobs = jobs_with_engine(grid(args.scale), getattr(args, "engine", None))
+    jobs = SWEEP_GRIDS[args.figure](args.scale)
     executor = getattr(args, "executor", None)
     remote_executor = None
     if executor == "remote":
@@ -447,8 +443,6 @@ def _submit_spec(args) -> dict:
         spec["schemes"] = args.schemes
     if args.scale is not None:
         spec["scale"] = args.scale
-    if args.engine:
-        spec["engine"] = args.engine
     if args.timeout is not None:
         spec["timeout"] = args.timeout
     if args.max_retries is not None:
@@ -578,12 +572,7 @@ def cmd_estimate(args) -> int:
                 "est_speedup": speedup,
             }
             if args.compare:
-                # The vectorized engine is byte-identical to the event
-                # engine and shares its cache identity, so comparing
-                # against it compares against the simulator, faster.
-                result = _run_one(
-                    app, config.with_engine("vectorized"), args.scale
-                )
+                result = _run_one(app, config, args.scale)
                 if base_sim is None:
                     base_sim = result
                 sim_speedup = base_sim.cycles / result.cycles
@@ -641,9 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="page size in bytes (4096/65536/2097152)")
         p.add_argument("--l2-tlb-entries", type=int, dest="l2_tlb_entries",
                        help="override the shared L2 TLB size")
-        p.add_argument("--engine", choices=["event", "vectorized"],
-                       help="simulation engine (byte-identical results; "
-                            "'vectorized' is the compiled fast path)")
         p.add_argument("--config", help="JSON configuration file to start from")
 
     run_parser = sub.add_parser("run", help="simulate one application")
@@ -707,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate_parser.add_argument(
         "--compare", action="store_true",
-        help="also simulate each job (vectorized engine) and show the "
-             "estimator's PTW-PKI error and the simulated speedups",
+        help="also simulate each job and show the estimator's PTW-PKI "
+             "error and the simulated speedups",
     )
     estimate_parser.add_argument(
         "--json", dest="json_out", metavar="PATH",
@@ -748,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-going", dest="keep_going", action="store_true", default=None,
         help="record terminal job failures and keep sweeping instead of "
              "aborting (failed slots resolve to None)",
-    )
-    sweep_parser.add_argument(
-        "--engine", choices=["event", "vectorized"],
-        help="simulation engine for every job in the grid (byte-identical "
-             "results and shared cache identity)",
     )
     sweep_parser.add_argument(
         "--telemetry", action="store_true",
@@ -910,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--scale", type=float, default=None,
         help="workload scale factor (default: server-side REPRO_SCALE)",
-    )
-    submit_parser.add_argument(
-        "--engine", choices=["event", "vectorized"],
-        help="simulation engine for every job in the grid",
     )
     submit_parser.add_argument(
         "--timeout", type=float, default=None,

@@ -361,35 +361,9 @@ class SystemConfig:
     # LDS into the shared, deduplicating I-cache, limiting the replication
     # that wastes cumulative LDS capacity.
     dedup_shared_fills: bool = False
-    # Simulation engine: "event" walks each wave program op-by-op through
-    # Python method dispatch; "vectorized" runs the same op sequence through
-    # compiled per-wave records with batched precomputation and a flattened
-    # hot path. Both produce byte-identical SimResults (enforced by
-    # tests/sim/test_engine_equivalence.py), so the engine is a pure speed
-    # knob and deliberately does NOT enter the experiment cache identity.
-    engine: str = "event"
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("event", "vectorized"):
-            raise ValueError(
-                f"unknown engine {self.engine!r} (want 'event' or 'vectorized')"
-            )
-        # Plugin schemes declare which engines they support; an
-        # unsupported combination must fail here, at construction, never
-        # as a silent misprediction inside an engine. TxScheme members
-        # carry no such attribute (every engine supports the built-ins).
-        supported = getattr(self.scheme, "supported_engines", None)
-        if supported is not None and self.engine not in supported:
-            raise ValueError(
-                f"scheme {self.scheme.value!r} does not support engine "
-                f"{self.engine!r} (supported: {list(supported)})"
-            )
 
     def with_scheme(self, scheme: TxScheme) -> "SystemConfig":
         return replace(self, scheme=scheme)
-
-    def with_engine(self, engine: str) -> "SystemConfig":
-        return replace(self, engine=engine)
 
     def with_l2_tlb_entries(self, entries: int) -> "SystemConfig":
         return replace(self, tlb=replace(self.tlb, l2_entries=entries))

@@ -58,14 +58,9 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
         "lds_before_icache": config.lds_before_icache,
         "dedup_shared_fills": config.dedup_shared_fills,
     }
-    # The engine is serialized only when it deviates from the default so
-    # configuration files written before the knob existed round-trip
-    # unchanged (and event-mode signatures stay stable).
-    if config.engine != "event":
-        payload["engine"] = config.engine
-    # Same rule for the subregion-coalescing section: emitted only when a
-    # scheme wires the store or a knob was changed, so every pre-existing
-    # configuration (and its cache signature) serializes byte-identically.
+    # The subregion-coalescing section is emitted only when a scheme wires
+    # the store or a knob was changed, so every pre-existing configuration
+    # (and its cache signature) serializes byte-identically.
     if (
         getattr(config.scheme, "uses_subregion", False)
         or config.subregion != SubregionConfig()
@@ -87,7 +82,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
     file is an error rather than a silently-ignored setting.
     """
 
-    known_top = set(_SECTION_TYPES) | {"scheme", "subregion", "page_size", "va_bits", "lds_before_icache", "dedup_shared_fills", "engine"}
+    known_top = set(_SECTION_TYPES) | {"scheme", "subregion", "page_size", "va_bits", "lds_before_icache", "dedup_shared_fills"}
     unknown = set(payload) - known_top
     if unknown:
         raise ValueError(f"unknown configuration sections: {sorted(unknown)}")
@@ -100,7 +95,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
         from repro.schemes import resolve
 
         kwargs["scheme"] = resolve(payload["scheme"])
-    for scalar in ("page_size", "va_bits", "lds_before_icache", "dedup_shared_fills", "engine"):
+    for scalar in ("page_size", "va_bits", "lds_before_icache", "dedup_shared_fills"):
         if scalar in payload:
             kwargs[scalar] = payload[scalar]
 

@@ -59,6 +59,28 @@ class BaseDeltaCodec:
             keep.remove(max(keep, key=lambda tag: abs(tag - incoming)))
         return keep
 
+    def evict_unpackable(self, residents, incoming, index_bits: int):
+        """Make room for ``incoming`` in a compressed tag group.
+
+        ``residents`` maps keys to translation entries, least recently
+        used first. Pops and returns the LRU resident whose tag
+        :meth:`packable_subset` would drop, or returns None when every
+        resident packs with ``incoming``.
+        """
+
+        if not residents:
+            return None
+        new_tag = incoming.tag_bits(index_bits)
+        tags = [resident.tag_bits(index_bits) for resident in residents.values()]
+        if max(max(tags), new_tag) - min(min(tags), new_tag) < self._delta_limit:
+            # The whole group packs: packable_subset would keep every tag.
+            return None
+        packable = set(self.packable_subset(tags, new_tag))
+        for key, tag in zip(list(residents), tags):
+            if tag not in packable:
+                return residents.pop(key)
+        return None
+
     def compressed_bits(self, count: int) -> int:
         """Size of a compressed group of ``count`` tags, in bits."""
 

@@ -41,13 +41,19 @@ class VictimFillFlow:
         self.ducati = ducati
         self.stats = stats if stats is not None else Stats()
         self.name = name
+        self._counters = self.stats.counters
+        self._victims_key = f"{name}.victims"
+        self._to_l2_key = f"{name}.to_l2_tlb"
+        self._skipped_key = f"{name}.lds_skipped_shared"
         # Fill order mirrors the lookup order (Section 4.4; an ablation
-        # can reverse it via SystemConfig.lds_before_icache).
+        # can reverse it via SystemConfig.lds_before_icache). Each stage:
+        # (fill, is the LDS, and its installed / installed-with-victim /
+        # bypassed counter names).
         stages = []
         if lds_tx is not None:
-            stages.append(("lds", lds_tx.fill))
+            stages.append(self._stage("lds", lds_tx.fill))
         if icache_tx is not None:
-            stages.append(("icache", icache_tx.tx_fill))
+            stages.append(self._stage("icache", icache_tx.tx_fill))
         if not lds_first:
             stages.reverse()
         self._stages = stages
@@ -56,11 +62,22 @@ class VictimFillFlow:
         # copy lives in the shared I-cache instead of N private copies.
         self._sharing = sharing if dedup_shared else None
 
+    def _stage(self, label: str, fill) -> tuple:
+        return (
+            fill,
+            label == "lds",
+            f"{self.name}.{label}_installed",
+            f"{self.name}.{label}_installed_with_victim",
+            f"{self.name}.{label}_bypassed",
+        )
+
     def fill(self, entry: TranslationEntry, now: int) -> None:
         """Route one L1-TLB victim through the Figure 12 flow."""
 
-        self.stats.add(f"{self.name}.victims")
+        counters = self._counters
+        counters[self._victims_key] += 1
         candidate: Optional[TranslationEntry] = entry
+        sharing = self._sharing
 
         # Figure 12: offer the candidate to each reconfigurable structure
         # in order. An *accepted* fill may displace a resident translation,
@@ -68,28 +85,21 @@ class VictimFillFlow:
         # …→6→7→8); a *bypassed* fill (target segment/line is
         # application-owned) forwards the candidate unchanged (flows 1→2→3
         # and …→6→9).
-        for label, fill in self._stages:
-            if candidate is None:
-                return
-            if (
-                label == "lds"
-                and self._sharing is not None
-                and self._sharing.is_shared(candidate.vpn)
-            ):
-                self.stats.add(f"{self.name}.lds_skipped_shared")
+        for fill, is_lds, installed, with_victim, bypassed in self._stages:
+            if is_lds and sharing is not None and sharing.is_shared(candidate.vpn):
+                counters[self._skipped_key] += 1
                 continue
             accepted, displaced = fill(candidate, now)
             if accepted:
                 if displaced is None:
-                    self.stats.add(f"{self.name}.{label}_installed")
+                    counters[installed] += 1
                     return
-                self.stats.add(f"{self.name}.{label}_installed_with_victim")
+                counters[with_victim] += 1
                 candidate = displaced
             else:
-                self.stats.add(f"{self.name}.{label}_bypassed")
+                counters[bypassed] += 1
 
-        if candidate is not None:
-            self.stats.add(f"{self.name}.to_l2_tlb")
-            l2_victim = self.l2_tlb.insert(candidate)
-            if l2_victim is not None and self.ducati is not None:
-                self.ducati.fill(l2_victim)
+        counters[self._to_l2_key] += 1
+        l2_victim = self.l2_tlb.insert(candidate)
+        if l2_victim is not None and self.ducati is not None:
+            self.ducati.fill(l2_victim)

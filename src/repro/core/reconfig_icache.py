@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 from repro.config import ICacheConfig, ICacheReplacement, ICacheTxConfig
 from repro.core.compression import BaseDeltaCodec
 from repro.gpu.icache import CacheLine, InstructionCache
+from repro.sim.engine import Port
 from repro.sim.stats import Stats
 from repro.tlb.base import TranslationEntry
 
@@ -49,6 +50,26 @@ class ReconfigurableICache(InstructionCache):
         self.tx_config = tx_config
         self._index_bits = max(1, (self.num_lines - 1).bit_length())
         self.codec = BaseDeltaCodec(tx_config.tag_base_bits, tx_config.tag_delta_bits)
+        self._tx_probe_latency = tx_config.tx_probe_latency
+        self._tx_hit_latency = tx_config.tx_hit_latency
+        # A Tx-mode line without a tag match pays the serial tag compare.
+        self._tx_tag_miss_latency = (
+            tx_config.tx_tag_latency
+            + tx_config.tx_serial_compare_latency
+            + tx_config.mux_latency
+            + tx_config.extra_wire_latency
+        )
+        self._instruction_aware = (
+            tx_config.replacement is ICacheReplacement.INSTRUCTION_AWARE
+        )
+        self._tx_keys = {
+            event: f"{name}.{event}"
+            for event in (
+                "tx_hits", "tx_misses", "tx_fills", "tx_refills", "tx_evictions",
+                "tx_compression_evictions", "tx_bypass_ic_mode",
+                "instructions_evicted_by_tx",
+            )
+        }
         self._tx_entry_count = 0
         self.peak_tx_entries = 0
         self._current_kernel: Optional[str] = None
@@ -60,9 +81,7 @@ class ReconfigurableICache(InstructionCache):
         # idle 10-20+ cycles between accesses, so translation accesses slot
         # into idle cycles and never delay fetches. Tx accesses queue only
         # behind other Tx accesses, modelled by a separate port.
-        from repro.sim.engine import Port as _Port
-
-        self.tx_port = _Port(f"{name}.tx_port", units=1, occupancy=1)
+        self.tx_port = Port(f"{name}.tx_port", units=1, occupancy=1)
 
     # ------------------------------------------------------------------
     # Direct-mapped translation indexing (Figure 9)
@@ -83,44 +102,39 @@ class ReconfigurableICache(InstructionCache):
         folded into the latency.
         """
 
-        start = self.tx_port.request(anchor)
-        queue = start - anchor
+        queue = self.tx_port.request(anchor) - anchor
         cache_line = self._line_for(key[2])
-        if not cache_line.is_tx or not cache_line.tx_entries:
+        tx_entries = cache_line.tx_entries
+        if not cache_line.is_tx or not tx_entries:
             # The target way's mode bit says IC-mode/invalid: cheap miss.
-            self.stats.add(f"{self.name}.tx_misses")
-            return None, queue + self.tx_config.tx_probe_latency
-        entry = cache_line.tx_entries.get(key)
+            self._counters[self._tx_keys["tx_misses"]] += 1
+            return None, queue + self._tx_probe_latency
+        entry = tx_entries.pop(key, None)
         if entry is None:
             # Tx-mode way but no tag match: pays the serial tag compare.
-            self.stats.add(f"{self.name}.tx_misses")
-            tag_miss = (
-                self.tx_config.tx_tag_latency
-                + self.tx_config.tx_serial_compare_latency
-                + self.tx_config.mux_latency
-                + self.tx_config.extra_wire_latency
-            )
-            return None, queue + tag_miss
-        del cache_line.tx_entries[key]
+            self._counters[self._tx_keys["tx_misses"]] += 1
+            return None, queue + self._tx_tag_miss_latency
         self._tx_entry_count -= 1
-        if not cache_line.tx_entries:
+        if not tx_entries:
             cache_line.make_invalid()
-        self.stats.add(f"{self.name}.tx_hits")
-        return entry, queue + self.tx_config.tx_hit_latency
+        self._counters[self._tx_keys["tx_hits"]] += 1
+        return entry, queue + self._tx_hit_latency
 
     def tx_fill(self, entry: TranslationEntry, now: int
                 ) -> Tuple[bool, Optional[TranslationEntry]]:
         """Install a victim translation; returns (accepted, displaced)."""
 
+        counters = self._counters
+        keys = self._tx_keys
         cache_line = self._line_for(entry.vpn)
         if cache_line.valid and not cache_line.is_tx:
-            if self.tx_config.replacement is ICacheReplacement.INSTRUCTION_AWARE:
+            if self._instruction_aware:
                 # Translations may never evict instructions.
-                self.stats.add(f"{self.name}.tx_bypass_ic_mode")
+                counters[keys["tx_bypass_ic_mode"]] += 1
                 return False, None
             # Naive policy: claim the instruction line for translations.
             cache_line.make_invalid()
-            self.stats.add(f"{self.name}.instructions_evicted_by_tx")
+            counters[keys["instructions_evicted_by_tx"]] += 1
         # Fills are buffered and drained during idle port cycles; the L1
         # victim write-back is off every wave's critical path, so fills
         # charge no port occupancy and add no latency.
@@ -130,37 +144,27 @@ class ReconfigurableICache(InstructionCache):
             cache_line.tx_entries = OrderedDict()
         tx_entries = cache_line.tx_entries
         assert tx_entries is not None
-        if entry.key in tx_entries:
-            tx_entries[entry.key] = entry
-            tx_entries.move_to_end(entry.key)
-            self.stats.add(f"{self.name}.tx_refills")
+        key = entry.key
+        if key in tx_entries:
+            tx_entries[key] = entry
+            tx_entries.move_to_end(key)
+            counters[keys["tx_refills"]] += 1
             return True, None
 
-        victim = None
-        new_tag = entry.tag_bits(self._index_bits)
-        resident_tags = {
-            key: resident.tag_bits(self._index_bits)
-            for key, resident in tx_entries.items()
-        }
-        packable = set(self.codec.packable_subset(list(resident_tags.values()), new_tag))
-        incompatible = [key for key, tag in resident_tags.items() if tag not in packable]
-        if incompatible:
-            for key in tx_entries:
-                if key in incompatible:
-                    victim = tx_entries.pop(key)
-                    break
+        victim = self.codec.evict_unpackable(tx_entries, entry, self._index_bits)
+        if victim is not None:
             self._tx_entry_count -= 1
-            self.stats.add(f"{self.name}.tx_compression_evictions")
+            counters[keys["tx_compression_evictions"]] += 1
         if victim is None and len(tx_entries) >= self.tx_config.tx_per_line:
             _, victim = tx_entries.popitem(last=False)
             self._tx_entry_count -= 1
-            self.stats.add(f"{self.name}.tx_evictions")
+            counters[keys["tx_evictions"]] += 1
 
-        tx_entries[entry.key] = entry
+        tx_entries[key] = entry
         self._tx_entry_count += 1
         if self._tx_entry_count > self.peak_tx_entries:
             self.peak_tx_entries = self._tx_entry_count
-        self.stats.add(f"{self.name}.tx_fills")
+        counters[keys["tx_fills"]] += 1
         return True, victim
 
     # ------------------------------------------------------------------

@@ -17,8 +17,11 @@ from typing import Dict, Optional, Tuple
 from repro.config import LDSTxConfig
 from repro.core.compression import BaseDeltaCodec
 from repro.gpu.lds import LocalDataShare, SegmentMode
+from repro.sim.engine import Port
 from repro.sim.stats import Stats
 from repro.tlb.base import TranslationEntry
+
+_LDS_MODE = SegmentMode.LDS
 
 
 class LDSTxCache:
@@ -39,6 +42,16 @@ class LDSTxCache:
         self.num_segments = lds.num_segments
         self._index_bits = max(1, (self.num_segments - 1).bit_length())
         self.codec = BaseDeltaCodec(config.tag_base_bits, config.tag_delta_bits)
+        self._probe_latency = config.tx_probe_latency
+        self._hit_latency = config.tx_hit_latency
+        self._counters = self.stats.counters
+        self._keys = {
+            event: f"{name}.{event}"
+            for event in (
+                "hits", "misses", "fills", "refills", "evictions",
+                "compression_evictions", "bypass_lds_mode",
+            )
+        }
         # Only Tx-mode segments appear here: segment index -> key -> entry.
         self._segments: Dict[int, "OrderedDict[tuple, TranslationEntry]"] = {}
         self._entry_count = 0
@@ -46,9 +59,7 @@ class LDSTxCache:
         # Like the reconfigurable I-cache, Tx traffic uses idle LDS port
         # bandwidth (Figure 4b) at lower priority than application
         # accesses: it queues only behind other Tx accesses.
-        from repro.sim.engine import Port as _Port
-
-        self.tx_port = _Port(f"{name}.tx_port", units=1, occupancy=1)
+        self.tx_port = Port(f"{name}.tx_port", units=1, occupancy=1)
         lds.tx_overwrite_callback = self._segment_reclaimed
 
     # ------------------------------------------------------------------
@@ -78,75 +89,61 @@ class LDSTxCache:
         costs only the 2-cycle mode check.
         """
 
-        segment_index = self._segment_for(key[2])
-        start = self.tx_port.request(anchor)
-        queue = start - anchor
+        segment_index = key[2] % self.num_segments
+        queue = self.tx_port.request(anchor) - anchor
         segment = self._segments.get(segment_index)
-        if segment is None:
-            # LDS-mode or free segment: quick mode-bit check, miss.
-            self.stats.add(f"{self.name}.misses")
-            return None, queue + self.config.tx_probe_latency
-        entry = segment.get(key)
+        # No Tx-mode segment (LDS-mode or free): quick mode-bit check.
+        entry = segment.pop(key, None) if segment is not None else None
         if entry is None:
-            self.stats.add(f"{self.name}.misses")
-            return None, queue + self.config.tx_probe_latency
-        del segment[key]
+            self._counters[self._keys["misses"]] += 1
+            return None, queue + self._probe_latency
         if not segment:
             del self._segments[segment_index]
             self.lds.mode[segment_index] = SegmentMode.FREE
         self._entry_count -= 1
-        self.stats.add(f"{self.name}.hits")
-        return entry, queue + self.config.tx_hit_latency
+        self._counters[self._keys["hits"]] += 1
+        return entry, queue + self._hit_latency
 
     def fill(self, entry: TranslationEntry, now: int
              ) -> Tuple[bool, Optional[TranslationEntry]]:
         """Install an L1-TLB victim; returns (accepted, displaced_victim)."""
 
-        segment_index = self._segment_for(entry.vpn)
-        mode = self.lds.mode[segment_index]
-        if mode == SegmentMode.LDS:
+        counters = self._counters
+        keys = self._keys
+        segment_index = entry.vpn % self.num_segments
+        if self.lds.mode[segment_index] == _LDS_MODE:
             # Tx-mode may never overwrite LDS-mode (Section 4.2.4).
-            self.stats.add(f"{self.name}.bypass_lds_mode")
+            counters[keys["bypass_lds_mode"]] += 1
             return False, None
         # Fills drain opportunistically during idle port cycles (off the
         # critical path) and charge no port occupancy.
+        key = entry.key
         segment = self._segments.get(segment_index)
         if segment is None:
             segment = OrderedDict()
             self._segments[segment_index] = segment
             self.lds.mode[segment_index] = SegmentMode.TX
-        if entry.key in segment:
-            segment[entry.key] = entry
-            segment.move_to_end(entry.key)
-            self.stats.add(f"{self.name}.refills")
+        elif key in segment:
+            segment[key] = entry
+            segment.move_to_end(key)
+            counters[keys["refills"]] += 1
             return True, None
 
-        victim = None
-        new_tag = entry.tag_bits(self._index_bits)
-        resident_tags = {
-            key: resident.tag_bits(self._index_bits)
-            for key, resident in segment.items()
-        }
-        packable = set(self.codec.packable_subset(list(resident_tags.values()), new_tag))
-        incompatible = [key for key, tag in resident_tags.items() if tag not in packable]
-        if incompatible:
-            # Evict the LRU incompatible resident to restore packability.
-            for key in segment:
-                if key in incompatible:
-                    victim = segment.pop(key)
-                    break
+        # Evict the LRU incompatible resident to restore packability.
+        victim = self.codec.evict_unpackable(segment, entry, self._index_bits)
+        if victim is not None:
             self._entry_count -= 1
-            self.stats.add(f"{self.name}.compression_evictions")
+            counters[keys["compression_evictions"]] += 1
         if victim is None and len(segment) >= self.ways:
             _, victim = segment.popitem(last=False)
             self._entry_count -= 1
-            self.stats.add(f"{self.name}.evictions")
+            counters[keys["evictions"]] += 1
 
-        segment[entry.key] = entry
+        segment[key] = entry
         self._entry_count += 1
         if self._entry_count > self.peak_entries:
             self.peak_entries = self._entry_count
-        self.stats.add(f"{self.name}.fills")
+        counters[keys["fills"]] += 1
         return True, victim
 
     def invalidate_vpn(self, vpn: int) -> int:

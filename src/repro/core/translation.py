@@ -48,7 +48,8 @@ class SharingTracker:
         self._masks: Dict[int, int] = {}
 
     def record(self, cu_id: int, vpn: int) -> None:
-        self._masks[vpn] = self._masks.get(vpn, 0) | (1 << cu_id)
+        masks = self._masks
+        masks[vpn] = masks.get(vpn, 0) | (1 << cu_id)
 
     @property
     def total_pages(self) -> int:
@@ -116,13 +117,16 @@ class TranslationService:
             stats=self.stats, lds_first=config.lds_before_icache,
             sharing=sharing, dedup_shared=config.dedup_shared_fills,
         )
+        self._counters = self.stats.counters
+        self._l1_latency = config.tlb.l1_latency
+        self._l2_latency = config.tlb.l2_latency
         # Victim-cache probe order on an L1 miss (Section 4.4; reversible
-        # for the ordering ablation).
+        # for the ordering ablation): (lookup, serviced-by counter name).
         stages = []
         if lds_tx is not None:
-            stages.append(("lds", lds_tx.lookup))
+            stages.append((lds_tx.lookup, "tx_serviced_by.lds"))
         if icache_tx is not None:
-            stages.append(("icache", icache_tx.tx_lookup))
+            stages.append((icache_tx.tx_lookup, "tx_serviced_by.icache"))
         if not config.lds_before_icache:
             stages.reverse()
         self._lookup_stages = stages
@@ -139,13 +143,11 @@ class TranslationService:
     def translate(self, vpn: int, now: int) -> Tuple[int, int]:
         """Translate ``vpn``; returns (completion_time, pfn)."""
 
-        self.stats.add("translations")
+        self._counters["translations"] += 1
         self.sharing.record(self.cu_id, vpn)
         key = (self.vmid, 0, vpn)
-        tlb_cfg = self.config.tlb
 
-        start = self.l1_port.request(now)
-        latency = (start - now) + tlb_cfg.l1_latency
+        latency = self.l1_port.request(now) - now + self._l1_latency
         entry = self.l1_tlb.lookup(key)
         if entry is not None:
             return now + latency, entry.pfn
@@ -167,19 +169,19 @@ class TranslationService:
         ``latency`` is the delay accumulated so far.
         """
 
-        for label, lookup in self._lookup_stages:
+        counters = self._counters
+        for lookup, serviced_by in self._lookup_stages:
             entry, stage = lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add(f"tx_serviced_by.{label}")
+                counters[serviced_by] += 1
                 self._promote(entry, anchor)
                 return anchor + latency, entry.pfn
 
-        start = self.l2_tlb_port.request(anchor)
-        latency += (start - anchor) + self.config.tlb.l2_latency
+        latency += self.l2_tlb_port.request(anchor) - anchor + self._l2_latency
         entry = self.l2_tlb.lookup(key)
         if entry is not None:
-            self.stats.add("tx_serviced_by.l2_tlb")
+            counters["tx_serviced_by.l2_tlb"] += 1
             self._promote(entry, anchor)
             return anchor + latency, entry.pfn
 
@@ -187,7 +189,7 @@ class TranslationService:
             entry, stage = self.subregion.lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add("tx_serviced_by.subregion")
+                counters["tx_serviced_by.subregion"] += 1
                 self._promote(entry, anchor)
                 self.l2_tlb.insert(entry)
                 return anchor + latency, entry.pfn
@@ -196,14 +198,14 @@ class TranslationService:
             entry, stage = self.ducati.lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add("tx_serviced_by.ducati")
+                counters["tx_serviced_by.ducati"] += 1
                 self._promote(entry, anchor)
                 self.l2_tlb.insert(entry)
                 return anchor + latency, entry.pfn
 
         stage, entry = self.iommu.translate(self.vmid, vpn, anchor)
         latency += stage
-        self.stats.add("tx_serviced_by.iommu")
+        counters["tx_serviced_by.iommu"] += 1
         if self.subregion is not None:
             # The walker path just resolved this page: learn contiguity
             # around it (read-only on the page table) and coalesce.
@@ -225,7 +227,7 @@ class TranslationService:
         """
 
         if count > 0:
-            self.stats.add("l1_tlb.hits", count)
+            self._counters["l1_tlb.hits"] += count
 
     def shootdown(self, vpn: int) -> int:
         """Invalidate ``vpn`` everywhere this CU caches it (Section 7.1)."""

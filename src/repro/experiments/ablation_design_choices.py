@@ -24,7 +24,7 @@ from repro.experiments.common import (
     gmean_speedup,
     run_app,
 )
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import HIGH_APPS, app_names
 
 PACKING_DENSITIES = (1, 2, 4, 8, 16)
@@ -65,12 +65,10 @@ def sweep_jobs_packing(scale=None, apps=None) -> List[SweepJob]:
     return [SweepJob(app, config, scale) for config in configs for app in apps]
 
 
-def sweep_jobs(scale=None, engine=None) -> List[SweepJob]:
+def sweep_jobs(scale=None) -> List[SweepJob]:
     """The full design-choice ablation grid (lookup order + packing)."""
 
-    return jobs_with_engine(
-        sweep_jobs_lookup_order(scale) + sweep_jobs_packing(scale), engine
-    )
+    return sweep_jobs_lookup_order(scale) + sweep_jobs_packing(scale)
 
 
 def run_lookup_order(

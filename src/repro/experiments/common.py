@@ -54,15 +54,10 @@ def clear_cache() -> None:
 def _config_signature(config: SystemConfig) -> str:
     # Hash the explicit serialized form, not repr(): the signature then
     # only changes when a setting's *value* changes, not when unrelated
-    # fields are added to the dataclasses. The engine selection is dropped
-    # before hashing: both engines produce byte-identical results (the
-    # equivalence battery enforces this), so a vectorized run may serve —
-    # and be served by — an event-mode cache entry.
+    # fields are added to the dataclasses.
     from repro.config_io import config_to_dict
 
-    payload = config_to_dict(config)
-    payload.pop("engine", None)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

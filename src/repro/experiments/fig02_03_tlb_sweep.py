@@ -20,7 +20,7 @@ from repro.experiments.common import (
     gmean_speedup,
     run_app,
 )
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import app_names
 
 #: Default sweep; the full-paper sweep (…→2M) saturates on our scaled
@@ -31,7 +31,6 @@ DEFAULT_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 65536, 2 * 1024 * 1024)
 def sweep_jobs(
     scale: Optional[float] = None,
     sizes: Optional[List[int]] = None,
-    engine: Optional[str] = None,
 ) -> List[SweepJob]:
     """The full Figures 2+3 job grid, enumerated up front."""
 
@@ -42,14 +41,7 @@ def sweep_jobs(
     configs = [table1_config()]
     configs += [table1_config().with_l2_tlb_entries(entries) for entries in sizes]
     configs.append(table1_config().with_perfect_l2_tlb())
-    return jobs_with_engine(
-        [
-            SweepJob(app, config, scale)
-            for config in configs
-            for app in app_names()
-        ],
-        engine,
-    )
+    return [SweepJob(app, config, scale) for config in configs for app in app_names()]
 
 
 def run(

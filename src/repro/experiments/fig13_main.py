@@ -24,7 +24,7 @@ from repro.experiments.common import (
     run_app,
 )
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import CATEGORIES, app_names
 
 #: Figure 13b/13c scheme arms, derived from the scheme registry (the
@@ -53,36 +53,24 @@ def icache_variant_configs() -> Dict[str, SystemConfig]:
     }
 
 
-def sweep_jobs_13a(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs_13a(scale: Optional[float] = None) -> List[SweepJob]:
     if scale is None:
         scale = DEFAULT_SCALE
     configs = [table1_config()] + list(icache_variant_configs().values())
-    return jobs_with_engine(
-        [SweepJob(app, config, scale) for app in app_names() for config in configs],
-        engine,
-    )
+    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
 
 
-def sweep_jobs_13bc(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs_13bc(scale: Optional[float] = None) -> List[SweepJob]:
     if scale is None:
         scale = DEFAULT_SCALE
     configs = [table1_config()] + [table1_config(scheme) for scheme in SCHEMES]
-    return jobs_with_engine(
-        [SweepJob(app, config, scale) for app in app_names() for config in configs],
-        engine,
-    )
+    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
 
 
-def sweep_jobs(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
     """The full Figure 13 job grid (13a variants + 13b/c schemes)."""
 
-    return sweep_jobs_13a(scale, engine) + sweep_jobs_13bc(scale, engine)
+    return sweep_jobs_13a(scale) + sweep_jobs_13bc(scale)
 
 
 def run_fig13a(scale: Optional[float] = None) -> ExperimentResult:

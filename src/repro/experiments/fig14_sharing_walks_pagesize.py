@@ -21,7 +21,7 @@ from repro.experiments.common import (
     run_app,
 )
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import app_names
 
 PAGE_SIZES = (4096, 64 * 1024, 2 * 1024 * 1024)
@@ -53,14 +53,10 @@ def sweep_jobs_14c(scale: Optional[float] = None) -> List[SweepJob]:
     return jobs
 
 
-def sweep_jobs(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
     """The full Figure 14 job grid (14a/b schemes + 14c page sizes)."""
 
-    return jobs_with_engine(
-        sweep_jobs_14ab(scale) + sweep_jobs_14c(scale), engine
-    )
+    return sweep_jobs_14ab(scale) + sweep_jobs_14c(scale)
 
 
 def run_fig14a(scale: Optional[float] = None) -> ExperimentResult:

@@ -21,7 +21,7 @@ from repro.experiments.common import (
     run_app,
 )
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import app_names
 
 SHARER_COUNTS = (1, 2, 4, 8)
@@ -89,13 +89,10 @@ def sweep_jobs_16c(scale=None):
     ]
 
 
-def sweep_jobs(scale=None, engine=None):
+def sweep_jobs(scale=None):
     """The full Figure 16 job grid (sharers + wire latency + DUCATI)."""
 
-    return jobs_with_engine(
-        sweep_jobs_16a(scale) + sweep_jobs_16b(scale) + sweep_jobs_16c(scale),
-        engine,
-    )
+    return sweep_jobs_16a(scale) + sweep_jobs_16b(scale) + sweep_jobs_16c(scale)
 
 
 def run_fig16a(

@@ -23,25 +23,20 @@ from repro.experiments.common import (
     run_app,
 )
 from repro.schemes import config_for, schemes_for_tag
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import CATEGORIES, app_names
 
 #: Grid arms (includes the baseline column), in registry order.
 GRID_SPECS = tuple(schemes_for_tag("subregion-grid"))
 
 
-def sweep_jobs(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
     """The subregion-coalescing comparison grid."""
 
     if scale is None:
         scale = DEFAULT_SCALE
     configs = [config_for(spec.name) for spec in GRID_SPECS]
-    return jobs_with_engine(
-        [SweepJob(app, config, scale) for app in app_names() for config in configs],
-        engine,
-    )
+    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:

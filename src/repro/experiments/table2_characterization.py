@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from repro.config import table1_config
 from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, run_app
-from repro.sim.runner import SweepJob, jobs_with_engine, run_sweep
+from repro.sim.runner import SweepJob, run_sweep
 from repro.workloads.registry import app_names, make_app
 
 #: The paper's Table 2 values: (kernels, b2b, l1_hr, l2_hr, ptw_pki, cat).
@@ -39,16 +39,12 @@ def categorize(ptw_pki: float) -> str:
     return "L"
 
 
-def sweep_jobs(
-    scale: Optional[float] = None, engine: Optional[str] = None
-) -> List[SweepJob]:
+def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
     """The Table 2 job grid: every app under the baseline configuration."""
 
     if scale is None:
         scale = DEFAULT_SCALE
-    return jobs_with_engine(
-        [SweepJob(app, table1_config(), scale) for app in app_names()], engine
-    )
+    return [SweepJob(app, table1_config(), scale) for app in app_names()]
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:

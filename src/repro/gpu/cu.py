@@ -36,6 +36,7 @@ class ComputeUnit:
         self.cu_id = cu_id
         self.config = config
         self.stats = stats if stats is not None else Stats()
+        self.counters = self.stats.counters
         self.icache = icache
         self.lds = lds
         self.translation = translation
@@ -44,6 +45,8 @@ class ComputeUnit:
         )
         self.coalescer = AccessCoalescer(stats=self.stats, name="coalescer")
         self.page_size = config.page_size
+        # 64-byte lines per page, for a data access's in-page offset.
+        self.page_lines = max(1, config.page_size // 64)
         gpu = config.gpu
         self.simd_ports: List[Port] = [
             Port(f"cu{cu_id}.simd{i}.issue", units=1, occupancy=1)
@@ -51,8 +54,11 @@ class ComputeUnit:
         ]
         self._waves_per_simd = [0] * gpu.simds_per_cu
         self._max_waves_per_simd = gpu.waves_per_simd
-        self._dram_stats = shared_l2.dram.stats
-        self._dram_name = shared_l2.dram.name
+        dram = shared_l2.dram
+        self._dram_stats = dram.stats
+        self._dram_keys = {
+            kind: f"{dram.name}.{kind}" for kind in ("reads", "writes", "activates")
+        }
         # Optional ExecutionTracer (repro.sim.trace); None costs nothing.
         self.tracer = None
 
@@ -87,8 +93,9 @@ class ComputeUnit:
     def note_bulk_dram(self, lines: int, is_write: bool) -> None:
         """Account untimed DRAM traffic from a memory strip's tail lines."""
 
-        kind = "writes" if is_write else "reads"
-        self._dram_stats.add(f"{self._dram_name}.{kind}", lines)
+        keys = self._dram_keys
+        counters = self._dram_stats.counters
+        counters[keys["writes" if is_write else "reads"]] += lines
         # Sequential lines within a page overwhelmingly share a DRAM row;
         # charge roughly one activate per 16 lines.
-        self._dram_stats.add(f"{self._dram_name}.activates", lines / 16.0)
+        counters[keys["activates"]] += lines / 16.0

@@ -28,19 +28,9 @@ DISPATCH_LATENCY = 16
 class WorkGroupDispatcher:
     """Dispatches one kernel invocation's work-groups across the CUs."""
 
-    def __init__(
-        self,
-        cus: List,
-        stats: Optional[Stats] = None,
-        wave_factory: Optional[type] = None,
-    ) -> None:
+    def __init__(self, cus: List, stats: Optional[Stats] = None) -> None:
         self.cus = cus
         self.stats = stats if stats is not None else Stats()
-        # Which wavefront implementation to dispatch (the event-driven
-        # Wavefront, or the vectorized fast path when
-        # SystemConfig.engine == "vectorized"); both produce byte-identical
-        # results, so this is purely a speed knob.
-        self.wave_factory = Wavefront if wave_factory is None else wave_factory
         self.lds_request_bytes = Distribution()
         self._app_name = ""
         self._kernel: Optional[KernelSpec] = None
@@ -120,11 +110,10 @@ class WorkGroupDispatcher:
                 waves_per_workgroup=kernel.waves_per_workgroup,
             )
             simd_index = cu.claim_wave_slot()
-            wave_cls = self.wave_factory
-            wave = wave_cls(
+            wave = Wavefront(
                 cu, simd_index, workgroup, iter(kernel.program_factory(context))
             )
-            self._scheduler.add(now + DISPATCH_LATENCY, wave, wave_cls.step)
+            self._scheduler.add(now + DISPATCH_LATENCY, wave, Wavefront.step)
         self._outstanding += 1
         return True
 

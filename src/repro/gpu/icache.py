@@ -58,6 +58,13 @@ class InstructionCache:
         self.config = config
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats.counters
+        self._hits_key = f"{name}.hits"
+        self._misses_key = f"{name}.misses"
+        self._fills_key = f"{name}.fills"
+        self._prefetches_key = f"{name}.prefetches"
+        self._fetch_hit_latency = config.tag_latency
+        self._fetch_miss_latency = config.tag_latency + config.fill_latency
         self.num_sets = config.num_sets
         self.ways = config.ways
         self.num_lines = config.num_lines
@@ -82,23 +89,23 @@ class InstructionCache:
         """Fetch one instruction line; returns the completion time."""
 
         start = self.port.request(now)
-        set_index = line_addr % self.num_sets
-        tag = line_addr // self.num_sets
+        tag, set_index = divmod(line_addr, self.num_sets)
         cache_set = self._sets[set_index]
+        counters = self._counters
         for cache_line in cache_set:
-            if cache_line.valid and not cache_line.is_tx and cache_line.tag == tag:
+            if cache_line.tag == tag and cache_line.valid and not cache_line.is_tx:
                 cache_line.lru = self._next_lru()
-                self.stats.add(f"{self.name}.hits")
-                return start + self.config.tag_latency
+                counters[self._hits_key] += 1
+                return start + self._fetch_hit_latency
         # Miss: pick a victim and refill from the L2.
-        self.stats.add(f"{self.name}.misses")
-        self.stats.add(f"{self.name}.fills")
+        counters[self._misses_key] += 1
+        counters[self._fills_key] += 1
         victim = self._choose_instruction_victim(cache_set)
         self._on_instruction_claim(victim)
         victim.make_instruction(tag, self._next_lru())
         if self.config.next_line_prefetch:
             self._prefetch(line_addr + 1)
-        return start + self.config.tag_latency + self.config.fill_latency
+        return start + self._fetch_miss_latency
 
     def _on_instruction_claim(self, victim: CacheLine) -> None:
         """Hook fired when an instruction fill claims ``victim``.
@@ -123,8 +130,8 @@ class InstructionCache:
         victim = self._choose_instruction_victim(cache_set)
         self._on_instruction_claim(victim)
         victim.make_instruction(tag, self._next_lru())
-        self.stats.add(f"{self.name}.prefetches")
-        self.stats.add(f"{self.name}.fills")
+        self._counters[self._prefetches_key] += 1
+        self._counters[self._fills_key] += 1
 
     def _choose_instruction_victim(self, cache_set: List[CacheLine]) -> CacheLine:
         """Baseline policy: invalid lines first, then global LRU."""

@@ -45,6 +45,8 @@ class LocalDataShare:
         self.tx_config = tx_config
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats.counters
+        self._app_accesses_key = f"{name}.app_accesses"
         self.segment_bytes = tx_config.segment_bytes
         self.num_segments = config.size_bytes // self.segment_bytes
         self.mode: List[SegmentMode] = [SegmentMode.FREE] * self.num_segments
@@ -125,7 +127,7 @@ class LocalDataShare:
         """One application LDS instruction; returns the completion time."""
 
         start = self.port.request(now)
-        self.stats.add(f"{self.name}.app_accesses")
+        self._counters[self._app_accesses_key] += 1
         return start + self.config.lds_mode_latency
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ class Wavefront:
         "_ops",
         "_ib",
         "_kernel_code_base",
+        "_simd_port",
     )
 
     def __init__(self, cu, simd_index: int, workgroup, ops: Iterator[tuple]) -> None:
@@ -41,6 +42,7 @@ class Wavefront:
         self._ops = iter(ops)
         self._ib = []  # most-recent line ids, at most IB_LINES
         self._kernel_code_base = workgroup.kernel_code_base
+        self._simd_port = cu.simd_ports[simd_index]
 
     # The WaveScheduler step callback.
     def step(self, now: int) -> Optional[int]:
@@ -71,16 +73,15 @@ class Wavefront:
 
     def _run_alu(self, op: tuple, now: int) -> int:
         count = op[1]
-        cu = self.cu
-        start = cu.simd_ports[self.simd_index].request(now, count)
-        cu.stats.add("instructions", count)
+        start = self._simd_port.request(now, count)
+        self.cu.counters["instructions"] += count
         return start + count
 
     def _run_lds(self, op: tuple, now: int) -> int:
         count = op[1]
         cu = self.cu
-        start = cu.simd_ports[self.simd_index].request(now, count)
-        cu.stats.add("instructions", count)
+        start = self._simd_port.request(now, count)
+        cu.counters["instructions"] += count
         done = start
         for _ in range(count):
             finished = cu.lds.app_access(done)
@@ -90,12 +91,13 @@ class Wavefront:
 
     def _run_line(self, op: tuple, now: int) -> int:
         line_id = op[1]
+        cu = self.cu
         if line_id in self._ib:
             # Serviced from the wavefront's instruction buffer.
-            self.cu.stats.add("ib.hits")
+            cu.counters["ib.hits"] += 1
             return now
-        self.cu.stats.add("ib.misses")
-        done = self.cu.icache.fetch(self._kernel_code_base + line_id, now)
+        cu.counters["ib.misses"] += 1
+        done = cu.icache.fetch(self._kernel_code_base + line_id, now)
         ib = self._ib
         ib.append(line_id)
         if len(ib) > IB_LINES:
@@ -105,11 +107,13 @@ class Wavefront:
     def _run_mem(self, op: tuple, now: int) -> int:
         _, vpns, instr_count, is_write, lines_per_page = op
         cu = self.cu
-        start = cu.simd_ports[self.simd_index].request(now, instr_count)
-        cu.stats.add("instructions", instr_count)
-        cu.stats.add("mem_instructions", instr_count)
+        start = self._simd_port.request(now, instr_count)
+        counters = cu.counters
+        counters["instructions"] += instr_count
+        counters["mem_instructions"] += instr_count
 
         page_size = cu.page_size
+        page_lines = cu.page_lines
         unique = cu.coalescer.coalesce(vpns)
         timed_lines = min(MAX_TIMED_LINES_PER_PAGE, lines_per_page)
         bulk_lines = lines_per_page - timed_lines
@@ -119,7 +123,7 @@ class Wavefront:
         access = cu.memory.access_ex
         for vpn in unique:
             tx_done, pfn = translate(vpn, start)
-            base_addr = pfn * page_size + ((vpn * 797) % max(1, page_size // 64)) * 64
+            base_addr = pfn * page_size + ((vpn * 797) % page_lines) * 64
             # The data access depends on the translation, so its latency
             # chains after tx_done; its cache/DRAM bandwidth is charged at
             # the issue anchor (see repro.core.translation's timing note).

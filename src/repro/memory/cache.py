@@ -38,6 +38,10 @@ class SetAssociativeCache:
         self.effective_ways = ways - reserved_ways
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats.counters
+        self._hits_key = f"{name}.hits"
+        self._misses_key = f"{name}.misses"
+        self._evictions_key = f"{name}.evictions"
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
 
     def __len__(self) -> int:
@@ -50,15 +54,16 @@ class SetAssociativeCache:
         """Access the line containing ``addr``; returns hit/miss and fills."""
 
         line_addr = addr // self.line_bytes
-        cache_set = self._sets[self._index(line_addr)]
+        cache_set = self._sets[line_addr % self.num_sets]
+        counters = self._counters
         if line_addr in cache_set:
             cache_set.move_to_end(line_addr)
-            self.stats.add(f"{self.name}.hits")
+            counters[self._hits_key] += 1
             return True
-        self.stats.add(f"{self.name}.misses")
+        counters[self._misses_key] += 1
         if len(cache_set) >= self.effective_ways:
             cache_set.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            counters[self._evictions_key] += 1
         cache_set[line_addr] = True
         return False
 

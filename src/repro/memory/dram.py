@@ -29,6 +29,13 @@ class DRAM:
         self._busy_until = [0] * banks
         self._open_row = [-1] * banks
         self._num_banks = banks
+        self._access_latency = config.access_latency
+        self._bank_occupancy = config.bank_occupancy
+        self._counters = self.stats.counters
+        self._reads_key = f"{name}.reads"
+        self._writes_key = f"{name}.writes"
+        self._activates_key = f"{name}.activates"
+        self._queue_key = f"{name}.queue_cycles"
 
     def access(self, addr: int, now: int, is_write: bool = False) -> Tuple[int, int]:
         """Issue one DRAM access; returns (start_time, completion_time)."""
@@ -40,18 +47,23 @@ class DRAM:
             (addr >> _LINE_SHIFT) ^ (addr >> 12) ^ (addr >> 18)
         ) % self._num_banks
         row = addr >> _ROW_SHIFT
-        start = now if now > self._busy_until[bank] else self._busy_until[bank]
-        latency = self.config.access_latency
-        if self._open_row[bank] != row:
-            self._open_row[bank] = row
-            self.stats.add(f"{self.name}.activates")
-            latency += self.config.bank_occupancy  # precharge + activate
-        self._busy_until[bank] = start + self.config.bank_occupancy
-        self.stats.add(f"{self.name}.writes" if is_write else f"{self.name}.reads")
+        busy_until = self._busy_until
+        start = busy_until[bank]
+        if now > start:
+            start = now
+        latency = self._access_latency
+        counters = self._counters
+        open_row = self._open_row
+        if open_row[bank] != row:
+            open_row[bank] = row
+            counters[self._activates_key] += 1
+            latency += self._bank_occupancy  # precharge + activate
+        busy_until[bank] = start + self._bank_occupancy
+        counters[self._writes_key if is_write else self._reads_key] += 1
         if start > now:
-            self.stats.add(f"{self.name}.queue_cycles", start - now)
+            counters[self._queue_key] += start - now
         return start, start + latency
 
     @property
     def total_accesses(self) -> float:
-        return self.stats.get(f"{self.name}.reads") + self.stats.get(f"{self.name}.writes")
+        return self.stats.get(self._reads_key) + self.stats.get(self._writes_key)

@@ -40,14 +40,15 @@ class SharedL2:
         )
         self.port = Port("l2_port", units=port_units, occupancy=1)
         self.dram = dram
+        self.latency = config.l2_latency
 
     def access(self, addr: int, now: int, is_write: bool = False) -> int:
         """Access entering at the L2; returns the completion time."""
 
-        start = self.port.request(now)
+        ready = self.port.request(now) + self.latency
         if self.cache.access(addr, is_write):
-            return start + self.config.l2_latency
-        _, done = self.dram.access(addr, start + self.config.l2_latency, is_write)
+            return ready
+        _, done = self.dram.access(addr, ready, is_write)
         return done
 
 
@@ -71,6 +72,7 @@ class MemoryHierarchy:
             stats=self.stats,
         )
         self.shared_l2 = shared_l2
+        self._l1_latency = config.l1_latency
 
     def access(self, addr: int, now: int, is_write: bool = False) -> int:
         """Access from a SIMD lane group; returns the completion time."""
@@ -84,12 +86,12 @@ class MemoryHierarchy:
         ``("l1", "l2", "dram")``.
         """
 
+        now += self._l1_latency
         if self.l1.access(addr, is_write):
-            return now + self.config.l1_latency, "l1"
-        now += self.config.l1_latency
+            return now, "l1"
         shared = self.shared_l2
-        start = shared.port.request(now)
+        ready = shared.port.request(now) + shared.latency
         if shared.cache.access(addr, is_write):
-            return start + shared.config.l2_latency, "l2"
-        _, done = shared.dram.access(addr, start + shared.config.l2_latency, is_write)
+            return ready, "l2"
+        _, done = shared.dram.access(addr, ready, is_write)
         return done, "dram"

@@ -54,6 +54,13 @@ class IOMMU:
         self.walker_pool = Port(f"{name}.walkers", units=config.num_walkers,
                                 occupancy=0)
         self.queue_delay = Distribution(max_samples=50_000)
+        self._counters = self.stats.counters
+        self._walks_key = f"{name}.walks"
+        self._queue_key = f"{name}.walk_queue_cycles"
+        # Request overhead plus the device-TLB probes a lookup has made
+        # when it hits in (or passes) each level.
+        self._l1_hit_latency = config.request_overhead + config.l1_tlb_latency
+        self._l2_hit_latency = self._l1_hit_latency + config.l2_tlb_latency
 
     def translate(self, vmid: int, vpn: int, anchor: int, vrf_id: int = 0
                   ) -> Tuple[int, TranslationEntry]:
@@ -66,33 +73,30 @@ class IOMMU:
         """
 
         key = (vmid, vrf_id, vpn)
-        latency = self.config.request_overhead
 
         entry = self.l1_tlb.lookup(key)
         if entry is not None:
-            return latency + self.config.l1_tlb_latency, entry
-        latency += self.config.l1_tlb_latency
+            return self._l1_hit_latency, entry
 
         entry = self.l2_tlb.lookup(key)
         if entry is not None:
             self.l1_tlb.insert(entry)
-            return latency + self.config.l2_tlb_latency, entry
-        latency += self.config.l2_tlb_latency
+            return self._l2_hit_latency, entry
 
         # Full page-table walk: claim a walker slot (queuing if all busy).
         # The walk itself never touches the pool, so computing its latency
         # first and then claiming the slot for exactly that occupancy is
         # equivalent to the reservation preceding the walk.
         walk_latency, pfn = self.walker.walk(vmid, vpn, anchor)
-        start = self.walker_pool.request(anchor, walk_latency)
-        queue = start - anchor
+        queue = self.walker_pool.request(anchor, walk_latency) - anchor
+        counters = self._counters
         if queue:
-            self.stats.add(f"{self.name}.walk_queue_cycles", queue)
+            counters[self._queue_key] += queue
         self.queue_delay.add(queue)
-        self.stats.add(f"{self.name}.walks")
-        latency += queue + walk_latency
+        counters[self._walks_key] += 1
+        latency = self._l2_hit_latency + queue + walk_latency
 
-        entry = TranslationEntry(vpn=vpn, pfn=pfn, vmid=vmid, vrf_id=vrf_id)
+        entry = TranslationEntry(vpn, pfn, vmid, vrf_id)
         self.l1_tlb.insert(entry)
         self.l2_tlb.insert(entry)
         return latency, entry

@@ -21,6 +21,7 @@ from repro.tlb.base import TranslationEntry
 
 #: Bits of VPN consumed by each radix level of the x86 table.
 _LEVEL_BITS = 9
+_INDEX_MASK = (1 << _LEVEL_BITS) - 1
 
 #: Physical region where page-table pages themselves live (above 64GB so
 #: they never collide with data frames).
@@ -44,6 +45,13 @@ class PageTable:
         self.levels = 3 if page_size == 2 * 1024 * 1024 else 4
         self._mappings: Dict[Tuple[int, int], int] = {}
         self._next_frame = 1
+        # Per level: the shift that yields the VPN prefix resolved *before*
+        # that level's index.
+        self._prefix_shifts = [
+            _LEVEL_BITS * (self.levels - level) for level in range(self.levels)
+        ]
+        # Table-page placement memo: vmid -> per-level {prefix: page base}.
+        self._table_pages: Dict[int, List[Dict[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self._mappings)
@@ -82,21 +90,32 @@ class PageTable:
     def entry_for(self, vmid: int, vpn: int, vrf_id: int = 0) -> TranslationEntry:
         return TranslationEntry(vpn=vpn, pfn=self.translate(vmid, vpn), vmid=vmid, vrf_id=vrf_id)
 
-    def walk_addresses(self, vmid: int, vpn: int) -> List[int]:
-        """Physical addresses of the PTEs touched by a full walk, root first.
+    def walk_addresses(self, vmid: int, vpn: int, first_level: int = 0) -> List[int]:
+        """Physical addresses of the PTEs a walk touches, root first.
+
+        A walk whose upper levels hit the page-walk caches starts at
+        ``first_level``; the default is a full walk.
 
         Each level's table page is deterministically placed in the PT region
         based on the VPN prefix it serves, so walks to nearby pages share
         upper-level table lines (this is what makes page-walk caches and the
         L2 data cache effective for walk traffic, as in the paper's model).
+        A placement is a pure function of ``(vmid, level, prefix)`` and is
+        memoized per table page, of which a walk storm touches few.
         """
 
+        pages = self._table_pages.get(vmid)
+        if pages is None:
+            pages = self._table_pages[vmid] = [{} for _ in self._prefix_shifts]
         addresses = []
-        for level in range(self.levels):
-            # Prefix of the VPN resolved *before* this level's index.
-            prefix_shift = _LEVEL_BITS * (self.levels - level)
+        shifts = self._prefix_shifts
+        for level in range(first_level, len(shifts)):
+            prefix_shift = shifts[level]
             prefix = vpn >> prefix_shift
-            index = (vpn >> (prefix_shift - _LEVEL_BITS)) & ((1 << _LEVEL_BITS) - 1)
-            table_page = (hash((vmid, level, prefix)) & 0x3FFFFF)
-            addresses.append(_PT_REGION_BASE + table_page * 4096 + index * 8)
+            base = pages[level].get(prefix)
+            if base is None:
+                table_page = hash((vmid, level, prefix)) & 0x3FFFFF
+                base = pages[level][prefix] = _PT_REGION_BASE + table_page * 4096
+            index = (vpn >> (prefix_shift - _LEVEL_BITS)) & _INDEX_MASK
+            addresses.append(base + index * 8)
         return addresses

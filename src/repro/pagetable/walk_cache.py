@@ -65,47 +65,38 @@ class SplitPageWalkCache:
         self._pgd = _PrefixCache(config.pgd_cache_entries)
         self._pud = _PrefixCache(config.pud_cache_entries)
         self._pmd = _PrefixCache(config.pmd_cache_entries)
-
-    def _prefixes(self, vmid: int, vpn: int):
-        """(pgd, pud, pmd) prefix keys for a walk of ``self.levels`` levels.
-
-        A cache at depth d holds the translation produced after d levels of
-        the walk, i.e. it is keyed by the VPN bits those levels consumed.
-        """
-
-        pgd = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 1)))
-        pud = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 2)))
-        pmd = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 3)))
-        return pgd, pud, pmd
+        self._counters = self.stats.counters
+        self._misses_key = f"{name}.misses"
+        # A cache at depth d holds the translation produced after d levels
+        # of the walk, so it is keyed by the VPN bits those levels consumed
+        # and a hit skips d accesses. Each level present in a walk of
+        # ``levels`` levels: (cache, prefix shift, levels skipped, hit
+        # counter), deepest first ("skip, don't walk").
+        caches = [
+            (self._pgd, _LEVEL_BITS * (levels - 1), 1, f"{name}.pgd_hits"),
+            (self._pud, _LEVEL_BITS * (levels - 2), 2, f"{name}.pud_hits"),
+            (self._pmd, _LEVEL_BITS * (levels - 3), 3, f"{name}.pmd_hits"),
+        ]
+        # A walk of ``levels`` levels has ``levels - 1`` intermediate ones.
+        present = caches[:max(1, min(3, levels - 1))]
+        self._lookup_order = present[::-1]
+        self._fill_order = [(cache, shift) for cache, shift, _, _ in present]
 
     def lookup(self, vmid: int, vpn: int) -> int:
         """Number of walk levels that can be skipped (0..levels-1)."""
 
-        pgd, pud, pmd = self._prefixes(vmid, vpn)
-        # A cache at intermediate depth d holds the translation produced by
-        # the first d levels of the walk, so a hit skips d accesses. Check
-        # the deepest cache first ("skip, don't walk").
-        if self.levels >= 4 and self._pmd.lookup(pmd):
-            self.stats.add(f"{self.name}.pmd_hits")
-            return 3
-        if self.levels >= 3 and self._pud.lookup(pud):
-            self.stats.add(f"{self.name}.pud_hits")
-            return 2
-        if self._pgd.lookup(pgd):
-            self.stats.add(f"{self.name}.pgd_hits")
-            return 1
-        self.stats.add(f"{self.name}.misses")
+        for cache, shift, skip, hit_key in self._lookup_order:
+            if cache.lookup((vmid, vpn >> shift)):
+                self._counters[hit_key] += 1
+                return skip
+        self._counters[self._misses_key] += 1
         return 0
 
     def fill(self, vmid: int, vpn: int) -> None:
         """Install the intermediate translations produced by a full walk."""
 
-        pgd, pud, pmd = self._prefixes(vmid, vpn)
-        self._pgd.fill(pgd)
-        if self.levels >= 3:
-            self._pud.fill(pud)
-        if self.levels >= 4:
-            self._pmd.fill(pmd)
+        for cache, shift in self._fill_order:
+            cache.fill((vmid, vpn >> shift))
 
     def flush(self) -> None:
         self._pgd.flush()

@@ -36,6 +36,10 @@ class PageWalker:
         self.name = name
         self.pwc = SplitPageWalkCache(config, levels=page_table.levels, stats=self.stats)
         self.walk_latency = Distribution(max_samples=50_000)
+        self._counters = self.stats.counters
+        self._pte_key = f"{name}.pte_accesses"
+        self._walks_key = f"{name}.walks"
+        self._skipped_key = f"{name}.levels_skipped"
 
     def walk(self, vmid: int, vpn: int, anchor: int) -> Tuple[int, int]:
         """Run one walk; returns ``(walk_latency, pfn)``.
@@ -50,19 +54,21 @@ class PageWalker:
 
         skipped = self.pwc.lookup(vmid, vpn)
         latency = self.config.pwc_latency
-        addresses = self.page_table.walk_addresses(vmid, vpn)
-        dram = self.shared_l2.dram
-        for address in addresses[skipped:]:
+        addresses = self.page_table.walk_addresses(vmid, vpn, skipped)
+        dram_access = self.shared_l2.dram.access
+        counters = self._counters
+        pte_key = self._pte_key
+        for address in addresses:
             # IOMMU walkers fetch PTEs from system memory directly (they sit
             # outside the GPU's L1/L2 data hierarchy); this is a large part
             # of why GPU page walks are an order of magnitude slower than
             # on-chip translation hits (Section 3.1).
-            _, done = dram.access(address, anchor)
+            _, done = dram_access(address, anchor)
             latency += done - anchor
-            self.stats.add(f"{self.name}.pte_accesses")
+            counters[pte_key] += 1
         self.pwc.fill(vmid, vpn)
         pfn = self.page_table.translate(vmid, vpn)
-        self.stats.add(f"{self.name}.walks")
-        self.stats.add(f"{self.name}.levels_skipped", skipped)
+        counters[self._walks_key] += 1
+        counters[self._skipped_key] += skipped
         self.walk_latency.add(latency)
         return latency, pfn

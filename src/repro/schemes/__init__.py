@@ -8,18 +8,11 @@ service, and experiment harnesses derives from here. See
 a how-to-write-a-scheme walkthrough.
 """
 
-from repro.schemes.base import (  # noqa: F401
-    PluginScheme,
-    SchemeSpec,
-    VECTORIZED_FALLBACK,
-    VECTORIZED_NATIVE,
-    VECTORIZED_UNSUPPORTED,
-)
+from repro.schemes.base import PluginScheme, SchemeSpec  # noqa: F401
 from repro.schemes.registry import (  # noqa: F401
     SchemeError,
     apply_scheme,
     config_for,
-    engine_supported,
     get,
     register,
     register_plugin,
@@ -39,12 +32,8 @@ __all__ = [
     "SchemeSpec",
     "SchemeError",
     "SubregionStore",
-    "VECTORIZED_FALLBACK",
-    "VECTORIZED_NATIVE",
-    "VECTORIZED_UNSUPPORTED",
     "apply_scheme",
     "config_for",
-    "engine_supported",
     "get",
     "register",
     "register_plugin",

@@ -11,11 +11,9 @@ work. Every scheme is described by a :class:`SchemeSpec`:
 - capability flags (``uses_lds_tx`` / ``uses_icache_tx`` / ``uses_ducati``
   / ``uses_subregion``) — which victim-cache structures
   :class:`~repro.system.GPUSystem` wires up for the scheme.
-- engine support — whether the vectorized fast path models the scheme
-  natively (byte-identical fast records), falls back to the event-exact
-  slow path, or must be rejected up front; and whether the analytical
-  model (:mod:`repro.sim.analytical`) can estimate it. Unsupported
-  combinations raise a clear error instead of silently mispredicting.
+- ``analytical`` — whether the analytical model
+  (:mod:`repro.sim.analytical`) can estimate the scheme; an unsupported
+  estimate raises a clear error instead of silently mispredicting.
 - ``tags`` — grid-membership labels the experiment harnesses enumerate
   (e.g. the fig13 victim-cache arms), so a new scheme joins the right
   grids by declaring a tag rather than by editing every harness.
@@ -37,17 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-#: Vectorized-engine support levels a scheme may declare.
-VECTORIZED_NATIVE = "native"        # fast records model the scheme directly
-VECTORIZED_FALLBACK = "fallback"    # event-exact slow path, byte-identical
-VECTORIZED_UNSUPPORTED = "unsupported"  # reject engine="vectorized" up front
-
-_VECTORIZED_LEVELS = (
-    VECTORIZED_NATIVE,
-    VECTORIZED_FALLBACK,
-    VECTORIZED_UNSUPPORTED,
-)
-
 
 @dataclass(frozen=True)
 class PluginScheme:
@@ -63,10 +50,6 @@ class PluginScheme:
     uses_icache_tx: bool = False
     uses_ducati: bool = False
     uses_subregion: bool = False
-    #: Engines this scheme accepts; ``SystemConfig.__post_init__`` checks
-    #: membership so an unsupported engine fails at construction, long
-    #: before a worker process would silently mispredict.
-    supported_engines: Tuple[str, ...] = ("event", "vectorized")
     #: Whether :func:`repro.sim.analytical.estimate_app` models the scheme.
     analytical: bool = False
 
@@ -77,15 +60,13 @@ class PluginScheme:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One registered scheme: identity, capabilities, engine support."""
+    """One registered scheme: identity, capabilities, estimator support."""
 
     name: str
     #: The object stored on ``SystemConfig.scheme`` — a ``TxScheme``
     #: member for built-ins, a :class:`PluginScheme` for plugins.
     scheme: object
     description: str = ""
-    #: ``native`` / ``fallback`` / ``unsupported`` (see module constants).
-    vectorized: str = VECTORIZED_NATIVE
     #: Whether the analytical model can estimate this scheme.
     analytical: bool = True
     #: Grid-membership labels enumerated by the experiment harnesses.
@@ -100,22 +81,11 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"scheme name must be a non-empty string, got {self.name!r}")
-        if self.vectorized not in _VECTORIZED_LEVELS:
-            raise ValueError(
-                f"vectorized support must be one of {_VECTORIZED_LEVELS}, "
-                f"got {self.vectorized!r}"
-            )
         if getattr(self.scheme, "value", None) != self.name:
             raise ValueError(
                 f"scheme object value {getattr(self.scheme, 'value', None)!r} "
                 f"does not match spec name {self.name!r}"
             )
-
-    @property
-    def supported_engines(self) -> Tuple[str, ...]:
-        if self.vectorized == VECTORIZED_UNSUPPORTED:
-            return ("event",)
-        return ("event", "vectorized")
 
     def apply(self, config):
         """Select this scheme on ``config`` (transform included)."""

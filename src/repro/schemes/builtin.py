@@ -18,7 +18,7 @@ Grid tags:
 from __future__ import annotations
 
 from repro.config import TxScheme
-from repro.schemes.base import SchemeSpec, VECTORIZED_NATIVE
+from repro.schemes.base import SchemeSpec
 from repro.schemes.registry import register
 
 

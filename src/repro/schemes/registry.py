@@ -13,7 +13,7 @@ Contract:
 - :func:`register_plugin` is the convenience form for out-of-enum
   schemes: it builds the frozen, picklable
   :class:`~repro.schemes.base.PluginScheme` config value coherently
-  with the declared engine support.
+  with the declared capabilities.
 - :func:`resolve` maps a name (or an already-resolved scheme object)
   to the ``SystemConfig.scheme`` value; unknown names raise
   :class:`SchemeError` listing the valid choices — the actionable-error
@@ -30,12 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.schemes.base import (
-    PluginScheme,
-    SchemeSpec,
-    VECTORIZED_NATIVE,
-    VECTORIZED_UNSUPPORTED,
-)
+from repro.schemes.base import PluginScheme, SchemeSpec
 
 _REGISTRY: Dict[str, SchemeSpec] = {}
 
@@ -72,23 +67,18 @@ def register_plugin(
     uses_icache_tx: bool = False,
     uses_ducati: bool = False,
     uses_subregion: bool = False,
-    vectorized: str = VECTORIZED_NATIVE,
     analytical: bool = False,
     tags: Tuple[str, ...] = (),
     configure: Optional[Callable[..., object]] = None,
 ) -> SchemeSpec:
     """Register an out-of-enum scheme, building its config value coherently."""
 
-    engines = ("event",) if vectorized == VECTORIZED_UNSUPPORTED else (
-        "event", "vectorized",
-    )
     scheme = PluginScheme(
         name=name,
         uses_lds_tx=uses_lds_tx,
         uses_icache_tx=uses_icache_tx,
         uses_ducati=uses_ducati,
         uses_subregion=uses_subregion,
-        supported_engines=engines,
         analytical=analytical,
     )
     return register(
@@ -96,7 +86,6 @@ def register_plugin(
             name=name,
             scheme=scheme,
             description=description,
-            vectorized=vectorized,
             analytical=analytical,
             tags=tags,
             configure=configure,
@@ -168,9 +157,3 @@ def config_for(scheme: object, base=None):
 
         base = table1_config()
     return apply_scheme(base, scheme)
-
-
-def engine_supported(scheme: object, engine: str) -> bool:
-    """Whether ``scheme`` accepts ``engine`` (see SchemeSpec.vectorized)."""
-
-    return engine in spec_for(scheme).supported_engines

@@ -20,11 +20,6 @@ Detection is strictly read-only on the page table: only pages that are
 already mapped are examined (``is_mapped`` before ``translate``), so the
 deterministic first-touch frame-allocation sequence every other scheme
 sees is untouched.
-
-The store is deliberately off the vectorized engine's fast path: the
-scheme declares ``vectorized="fallback"``, which routes memory ops
-through the event-exact slow path (byte-identical, enforced by the
-equivalence battery) instead of silently mispredicting.
 """
 
 from __future__ import annotations
@@ -91,6 +86,10 @@ class SubregionStore:
         self.name = name
         self._shift = config.subregion_pages.bit_length() - 1
         self._runs: "OrderedDict[tuple, CoalescedRun]" = OrderedDict()
+        self._counters = self.stats.counters
+        self._hits_key = f"{name}.hits"
+        self._misses_key = f"{name}.misses"
+        self._observations_key = f"{name}.observations"
 
     def __len__(self) -> int:
         return len(self._runs)
@@ -111,12 +110,12 @@ class SubregionStore:
         vmid, vrf_id, vpn = key
         if run is not None and run.covers(vpn):
             self._runs.move_to_end(self._region_key(key))
-            self.stats.add(f"{self.name}.hits")
+            self._counters[self._hits_key] += 1
             entry = TranslationEntry(
                 vpn=vpn, pfn=run.pfn_for(vpn), vmid=vmid, vrf_id=vrf_id
             )
             return entry, latency
-        self.stats.add(f"{self.name}.misses")
+        self._counters[self._misses_key] += 1
         return None, latency
 
     def observe(self, key: tuple, pfn: int) -> Optional[CoalescedRun]:
@@ -129,7 +128,7 @@ class SubregionStore:
         """
 
         vmid, _vrf_id, vpn = key
-        self.stats.add(f"{self.name}.observations")
+        self._counters[self._observations_key] += 1
         region_base = (vpn >> self._shift) << self._shift
         region_end = region_base + self.config.subregion_pages
 
@@ -204,7 +203,6 @@ register_plugin(
         "walker path (arXiv 2110.08613)"
     ),
     uses_subregion=True,
-    vectorized="fallback",
     analytical=False,
     tags=("subregion-grid",),
 )

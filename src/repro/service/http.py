@@ -17,7 +17,7 @@ Endpoints (all JSON unless noted):
 - ``DELETE /jobs/<id>``       — cancel a queued job (409 otherwise).
 - ``GET    /healthz``         — liveness + job counts + pool stats.
 - ``GET    /version``         — package version, cache/report schemas,
-  and the valid vocabulary (figures, apps, schemes, engines).
+  and the valid vocabulary (figures, apps, schemes).
 
 The server is intentionally minimal — ``asyncio.start_server`` plus a
 hand-rolled HTTP/1.1 exchange with ``Connection: close`` semantics — so
@@ -40,12 +40,7 @@ from typing import Callable, Dict, Optional, Tuple
 import repro
 from repro.experiments.common import CACHE_SCHEMA
 from repro.sim.runner import REPORT_SCHEMA
-from repro.service.jobs import (
-    SpecError,
-    VALID_ENGINES,
-    valid_figures,
-    valid_schemes,
-)
+from repro.service.jobs import SpecError, valid_figures, valid_schemes
 from repro.service.manager import (
     CANCELLED,
     JobManager,
@@ -247,7 +242,6 @@ class ServiceServer:
             "figures": valid_figures(),
             "apps": app_names(),
             "schemes": valid_schemes(),
-            "engines": list(VALID_ENGINES),
         }
 
     async def _post_job(

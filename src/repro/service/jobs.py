@@ -2,7 +2,7 @@
 
 A *job spec* is the JSON body of ``POST /jobs``: either a named figure
 grid (``{"figure": "fig13"}``) or a custom ``apps`` × ``schemes`` grid,
-plus the scale/engine/fault-tolerance knobs the sweep CLI already exposes.
+plus the scale and fault-tolerance knobs the sweep CLI already exposes.
 Three operations, shared by the HTTP endpoint, the ``repro submit`` CLI,
 and the tests:
 
@@ -23,12 +23,9 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.schemes import config_for, engine_supported, scheme_names
-from repro.sim.runner import SweepJob, jobs_with_engine
+from repro.schemes import config_for, scheme_names
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
-
-#: Engines accepted by ``SystemConfig`` (kept in sync by a test).
-VALID_ENGINES = ("event", "vectorized")
 
 #: Every field a job spec may carry.
 KNOWN_FIELDS = (
@@ -36,7 +33,6 @@ KNOWN_FIELDS = (
     "apps",
     "schemes",
     "scale",
-    "engine",
     "page_size",
     "l2_tlb_entries",
     "timeout",
@@ -221,24 +217,6 @@ def validate_spec(raw: Dict) -> Dict:
 
         spec["scale"] = float(DEFAULT_SCALE)
 
-    if raw.get("engine") is not None:
-        engine = raw["engine"]
-        _require(
-            engine in VALID_ENGINES,
-            f"unknown engine {engine!r}; valid engines: {list(VALID_ENGINES)}",
-            "engine",
-            choices=VALID_ENGINES,
-        )
-        for scheme in spec.get("schemes", ()):
-            _require(
-                engine_supported(scheme, engine),
-                f"scheme {scheme!r} does not support engine {engine!r}; "
-                f"omit 'engine' to let the runner pick a supported one",
-                "engine",
-                choices=VALID_ENGINES,
-            )
-        spec["engine"] = engine
-
     if raw.get("timeout") is not None:
         spec["timeout"] = _positive_number(raw["timeout"], "timeout")
     if raw.get("max_retries") is not None:
@@ -272,11 +250,10 @@ def expand_spec(spec: Dict) -> List[SweepJob]:
     """The canonical spec's job grid, in deterministic (result) order."""
 
     scale = spec["scale"]
-    engine = spec.get("engine")
     if "figure" in spec:
         from repro.experiments.report import SWEEP_GRIDS
 
-        return jobs_with_engine(SWEEP_GRIDS[spec["figure"]](scale), engine)
+        return SWEEP_GRIDS[spec["figure"]](scale)
     jobs: List[SweepJob] = []
     for app in spec["apps"]:
         for scheme in spec["schemes"]:
@@ -286,4 +263,4 @@ def expand_spec(spec: Dict) -> List[SweepJob]:
             if "l2_tlb_entries" in spec:
                 config = config.with_l2_tlb_entries(spec["l2_tlb_entries"])
             jobs.append(SweepJob(app, config, scale))
-    return jobs_with_engine(jobs, engine)
+    return jobs

@@ -25,7 +25,7 @@ simulation*, in two stages:
 
 The estimator's contract is *accuracy of the reach model*, not byte
 identity: tests/sim/test_analytical.py validates estimated PTW-PKI against
-the event engine across the Figure 13 grid diagonal (see the tolerance
+the simulator across the Figure 13 grid diagonal (see the tolerance
 there). The latency side is a first-order bound model: useful for ranking
 schemes and sizing effects, not for absolute cycle counts.
 
@@ -35,7 +35,7 @@ Differences from the simulator, by design:
   accesses the simulator merges hit the L1 TLB here instead — the same
   number of walks either way, which is what PTW-PKI measures.
 - No queuing: scheduler interleave is round-robin, so shared-structure
-  LRU stacks see slightly different orderings than the event engine.
+  LRU stacks see slightly different orderings than the simulator's.
 - DUCATI's LLC-resident directory is collapsed into its part-of-memory
   TLB (reach-wise a superset; the latency model charges a blended cost).
 """
@@ -157,7 +157,7 @@ class FunctionalReachModel:
         if not getattr(scheme, "analytical", True):
             raise ValueError(
                 f"scheme {scheme.value!r} is not supported by the "
-                f"analytical model; simulate it (event engine) instead"
+                f"analytical model; simulate it instead"
             )
         num_cus = config.gpu.num_cus
         # Scratch stats sink: the reused structures insist on one; its

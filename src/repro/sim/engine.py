@@ -23,7 +23,7 @@ DESIGN.md Section 2).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.stats import PortIdleTracker
@@ -36,13 +36,13 @@ class Port:
     access latency on top. The port optionally records idle-gap statistics
     via an attached :class:`PortIdleTracker`, and busy-interval timelines
     via an attached :class:`~repro.sim.trace.TimelineSampler` (see
-    :meth:`attach_timeline`); both cost a single ``is None`` test per
-    request when detached.
+    :meth:`attach_timeline`). Both sit behind one flag, so a port with
+    neither attached pays a single test per request.
     """
 
     __slots__ = (
-        "name", "occupancy", "_free_times", "idle_tracker", "busy_cycles",
-        "timeline",
+        "name", "occupancy", "_free_times", "busy_cycles", "_idle_tracker",
+        "_timeline", "_observed",
     )
 
     def __init__(
@@ -58,18 +58,37 @@ class Port:
             raise ValueError(f"port {name!r} occupancy must be non-negative")
         self.name = name
         self.occupancy = occupancy
+        # All zeros: already a heap.
         self._free_times: List[int] = [0] * units
-        heapq.heapify(self._free_times)
-        self.idle_tracker: Optional[PortIdleTracker] = (
+        self.busy_cycles = 0
+        self._idle_tracker: Optional[PortIdleTracker] = (
             PortIdleTracker() if track_idle else None
         )
-        self.busy_cycles = 0
-        # Optional TimelineSampler (repro.sim.trace); None costs nothing.
-        self.timeline = None
+        # Optional TimelineSampler (repro.sim.trace).
+        self._timeline = None
+        self._observed = track_idle
 
     @property
     def units(self) -> int:
         return len(self._free_times)
+
+    @property
+    def idle_tracker(self) -> Optional[PortIdleTracker]:
+        return self._idle_tracker
+
+    @idle_tracker.setter
+    def idle_tracker(self, tracker: Optional[PortIdleTracker]) -> None:
+        self._idle_tracker = tracker
+        self._observed = tracker is not None or self._timeline is not None
+
+    @property
+    def timeline(self):
+        return self._timeline
+
+    @timeline.setter
+    def timeline(self, sampler) -> None:
+        self._timeline = sampler
+        self._observed = sampler is not None or self._idle_tracker is not None
 
     def request(self, now: int, occupancy: Optional[int] = None) -> int:
         """Claim a unit at or after ``now``; returns the start time.
@@ -88,15 +107,21 @@ class Port:
                 f"port {self.name!r} occupancy override must be "
                 f"non-negative, got {occupancy}"
             )
-        earliest = self._free_times[0]
-        start = now if now > earliest else earliest
-        heapq.heapreplace(self._free_times, start + occupancy)
+        free_times = self._free_times
+        start = free_times[0]
+        if now > start:
+            start = now
+        heapreplace(free_times, start + occupancy)
         self.busy_cycles += occupancy
-        if self.idle_tracker is not None:
-            self.idle_tracker.record_access(start)
-        if self.timeline is not None:
-            self.timeline.record(start, start + occupancy)
+        if self._observed:
+            self._observe(start, start + occupancy)
         return start
+
+    def _observe(self, start: int, end: int) -> None:
+        if self._idle_tracker is not None:
+            self._idle_tracker.record_access(start)
+        if self._timeline is not None:
+            self._timeline.record(start, end)
 
     def attach_timeline(self, sampler) -> None:
         """Record busy intervals into ``sampler``
@@ -112,17 +137,14 @@ class Port:
 
         Besides the free-time heap and busy-cycle counter this detaches any
         attached timeline sampler and replaces the idle tracker with a fresh
-        one: back-to-back in-process runs (the engine-equivalence battery
-        compares two engines inside one process) must each start from
-        identical port state, and a stale sampler or tracker would leak the
+        one, so a port reused for a second in-process run starts from the
+        same state as a new one: a stale sampler or tracker would leak the
         first run's history into the second run's distributions.
         """
 
-        units = len(self._free_times)
-        self._free_times = [0] * units
-        heapq.heapify(self._free_times)
+        self._free_times = [0] * len(self._free_times)
         self.busy_cycles = 0
-        if self.idle_tracker is not None:
+        if self._idle_tracker is not None:
             self.idle_tracker = PortIdleTracker()
         self.timeline = None
 
@@ -142,28 +164,49 @@ class WaveScheduler:
         self.now = 0
 
     def add(self, time: int, payload: object, step: Callable) -> None:
-        heapq.heappush(self._heap, (time, self._sequence, payload, step))
+        heappush(self._heap, (time, self._sequence, payload, step))
         self._sequence += 1
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def run(self) -> int:
-        """Drive all waves to completion; returns the final time."""
+        """Drive all waves to completion; returns the final time.
 
+        A wave that continues replaces its own heap entry in one sift
+        instead of a pop plus a push. That is only valid while the entry
+        is still the heap's top: a step that schedules a wave *earlier*
+        than itself moves it, and the entry is then taken out where it
+        sits. Either way the heap holds the same entries as after a pop
+        and a push, and since ``(time, sequence)`` is unique the run order
+        is the same.
+        """
+
+        heap = self._heap
         final = self.now
-        while self._heap:
-            time, _, payload, step = heapq.heappop(self._heap)
+        while heap:
+            entry = heap[0]
+            time, _, payload, step = entry
             if time > self.now:
                 self.now = time
             next_time = step(payload, time)
-            if next_time is None:
+            if heap[0] is not entry:
+                heap.remove(entry)
+                heapify(heap)
+                if next_time is None:
+                    if time > final:
+                        final = time
+                else:
+                    self.add(next_time if next_time > time else time, payload, step)
+            elif next_time is None:
+                heappop(heap)
                 if time > final:
                     final = time
             else:
                 if next_time < time:
                     next_time = time
-                self.add(next_time, payload, step)
+                heapreplace(heap, (next_time, self._sequence, payload, step))
+                self._sequence += 1
         if self.now > final:
             final = self.now
         return final

@@ -71,7 +71,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
@@ -128,24 +128,6 @@ class SweepJob:
 #: ``(app_name, config, scale)`` tuple (config/scale may be ``None`` for
 #: the Table 1 / ``REPRO_SCALE`` defaults).
 JobLike = Union[SweepJob, Tuple[str, Optional[SystemConfig], Optional[float]]]
-
-
-def jobs_with_engine(
-    jobs: List[SweepJob], engine: Optional[str]
-) -> List[SweepJob]:
-    """Re-target a job grid onto a simulation engine.
-
-    ``None`` leaves the grid untouched. The engine is a pure speed knob
-    (byte-identical results, same cache identity — see
-    tests/sim/test_engine_equivalence.py), so re-targeting never changes
-    what a sweep computes, only how fast it computes it.
-    """
-
-    if engine is None:
-        return jobs
-    return [
-        replace(job, config=job.config.with_engine(engine)) for job in jobs
-    ]
 
 
 @dataclass

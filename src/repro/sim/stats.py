@@ -20,45 +20,50 @@ from typing import Dict, Iterable, List, Optional
 
 
 class Stats:
-    """A bag of named counters."""
+    """A bag of named counters.
+
+    ``counters`` is the underlying ``defaultdict(float)``. Per-op hot paths
+    build their counter names once, at construction, and increment
+    ``counters[name]`` directly; :meth:`add` is for everything else.
+    """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = defaultdict(float)
+        self.counters: Dict[str, float] = defaultdict(float)
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] += amount
+        self.counters[name] += amount
 
     def set(self, name: str, value: float) -> None:
-        self._counters[name] = value
+        self.counters[name] = value
 
     def get(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+        return self.counters.get(name, 0.0)
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counters
+        return name in self.counters
 
     def names(self) -> List[str]:
-        return sorted(self._counters)
+        return sorted(self.counters)
 
     def snapshot(self) -> Dict[str, float]:
-        return dict(self._counters)
+        return dict(self.counters)
 
     def delta_since(self, snapshot: Dict[str, float]) -> Dict[str, float]:
         """Counters accumulated since ``snapshot`` (zero entries omitted)."""
 
         out = {}
-        for name, value in self._counters.items():
+        for name, value in self.counters.items():
             diff = value - snapshot.get(name, 0.0)
             if diff:
                 out[name] = diff
         return out
 
     def merge(self, other: "Stats") -> None:
-        for name, value in other._counters.items():
-            self._counters[name] += value
+        for name, value in other.counters.items():
+            self.counters[name] += value
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """Safe ratio of two counters; 0.0 when the denominator is zero."""
@@ -69,7 +74,7 @@ class Stats:
         return self.get(numerator) / denom
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
+        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.counters.items()))
         return f"Stats({body})"
 
 

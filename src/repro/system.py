@@ -144,17 +144,7 @@ class GPUSystem:
                 )
             )
 
-        if config.engine == "vectorized":
-            from repro.sim.vectorized import VectorWavefront
-
-            self._wave_factory: type = VectorWavefront
-        else:
-            from repro.gpu.wavefront import Wavefront
-
-            self._wave_factory = Wavefront
-        self.dispatcher = WorkGroupDispatcher(
-            self.cus, stats=self.stats, wave_factory=self._wave_factory
-        )
+        self.dispatcher = WorkGroupDispatcher(self.cus, stats=self.stats)
         self.energy_model = DRAMEnergyModel(config.dram_energy)
         self.command_processor = CommandProcessor(
             invalidate_fn=self.shootdown,
@@ -310,9 +300,7 @@ class GPUSystem:
             cus = [self.cus[cu_id] for cu_id in partition]
             for cu in cus:
                 cu.translation.vmid = vmid
-            dispatcher = WorkGroupDispatcher(
-                cus, stats=self.stats, wave_factory=self._wave_factory
-            )
+            dispatcher = WorkGroupDispatcher(cus, stats=self.stats)
             progress = _AppProgress(self, app, dispatcher, scheduler)
             dispatcher.on_kernel_complete = progress.kernel_completed
             progresses.append(progress)

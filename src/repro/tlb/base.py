@@ -9,21 +9,27 @@ to, and the address-space identifiers the paper carries in its tags
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class TranslationEntry:
-    """One cached virtual-to-physical translation."""
+    """One cached virtual-to-physical translation.
+
+    ``key`` — ``(vmid, vrf_id, vpn)``, the lookup key of every structure
+    that caches the entry — is built once, at construction: an entry is
+    made once per walk and then keyed by several TLB levels and victim
+    caches.
+    """
 
     vpn: int
     pfn: int
     vmid: int = 0
     vrf_id: int = 0
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        return (self.vmid, self.vrf_id, self.vpn)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.vmid, self.vrf_id, self.vpn))
 
     def tag_bits(self, index_bits: int) -> int:
         """The tag the paper stores: VA tag bits above the index, plus IDs.

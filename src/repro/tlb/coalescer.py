@@ -23,21 +23,24 @@ class AccessCoalescer:
     def __init__(self, stats: Optional[Stats] = None, name: str = "coalescer") -> None:
         self.stats = stats if stats is not None else Stats()
         self.name = name
+        self._counters = self.stats.counters
+        self._raw_key = f"{name}.raw_accesses"
+        self._coalesced_key = f"{name}.coalesced_accesses"
+        self._merged_key = f"{name}.merged"
 
     def coalesce(self, vpns: Iterable[int]) -> List[int]:
         """Unique pages touched, in first-touch order."""
 
         materialized = vpns if isinstance(vpns, (list, tuple)) else list(vpns)
-        seen = {}
-        for vpn in materialized:
-            if vpn not in seen:
-                seen[vpn] = None
-        unique = list(seen)
+        # dict.fromkeys keeps the first occurrence of each page, in order.
+        unique = list(dict.fromkeys(materialized))
         raw = len(materialized)
-        self.stats.add(f"{self.name}.raw_accesses", raw)
-        self.stats.add(f"{self.name}.coalesced_accesses", len(unique))
-        if raw > len(unique):
-            self.stats.add(f"{self.name}.merged", raw - len(unique))
+        count = len(unique)
+        counters = self._counters
+        counters[self._raw_key] += raw
+        counters[self._coalesced_key] += count
+        if raw > count:
+            counters[self._merged_key] += raw - count
         return unique
 
 
@@ -57,6 +60,9 @@ class InFlightTable:
     ) -> None:
         self.stats = stats if stats is not None else Stats()
         self.name = name
+        self._counters = self.stats.counters
+        self._merges_key = f"{name}.merges"
+        self._registered_key = f"{name}.registered"
         self._in_flight: Dict[Tuple, int] = {}
         self._ops_since_prune = 0
         self._prune_interval = prune_interval
@@ -69,13 +75,13 @@ class InFlightTable:
 
         done_at = self._in_flight.get(key)
         if done_at is not None and done_at > now:
-            self.stats.add(f"{self.name}.merges")
+            self._counters[self._merges_key] += 1
             return done_at
         return None
 
     def register(self, key: tuple, completes_at: int, now: Optional[int] = None) -> None:
         self._in_flight[key] = completes_at
-        self.stats.add(f"{self.name}.registered")
+        self._counters[self._registered_key] += 1
         self._ops_since_prune += 1
         if self._ops_since_prune >= self._prune_interval:
             self.prune(now if now is not None else completes_at)

@@ -23,18 +23,24 @@ class FullyAssociativeTLB:
         self.capacity = entries
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats.counters
+        self._hits_key = f"{name}.hits"
+        self._misses_key = f"{name}.misses"
+        self._fills_key = f"{name}.fills"
+        self._evictions_key = f"{name}.evictions"
         self._entries: "OrderedDict[tuple, TranslationEntry]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, key: tuple) -> Optional[TranslationEntry]:
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is None:
-            self.stats.add(f"{self.name}.misses")
+            self._counters[self._misses_key] += 1
             return None
-        self._entries.move_to_end(key)
-        self.stats.add(f"{self.name}.hits")
+        entries.move_to_end(key)
+        self._counters[self._hits_key] += 1
         return entry
 
     def probe(self, key: tuple) -> bool:
@@ -44,16 +50,18 @@ class FullyAssociativeTLB:
 
     def insert(self, entry: TranslationEntry) -> Optional[TranslationEntry]:
         key = entry.key
-        if key in self._entries:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries[key] = entry
+            entries.move_to_end(key)
             return None
         victim = None
-        if len(self._entries) >= self.capacity:
-            _, victim = self._entries.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
-        self._entries[key] = entry
-        self.stats.add(f"{self.name}.fills")
+        counters = self._counters
+        if len(entries) >= self.capacity:
+            _, victim = entries.popitem(last=False)
+            counters[self._evictions_key] += 1
+        entries[key] = entry
+        counters[self._fills_key] += 1
         return victim
 
     def invalidate(self, key: tuple) -> bool:

@@ -34,6 +34,11 @@ class SetAssociativeTLB:
         self.name = name
         self.perfect = perfect
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats.counters
+        self._hits_key = f"{name}.hits"
+        self._misses_key = f"{name}.misses"
+        self._fills_key = f"{name}.fills"
+        self._evictions_key = f"{name}.evictions"
         self._sets: List["OrderedDict[tuple, TranslationEntry]"] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
@@ -46,15 +51,15 @@ class SetAssociativeTLB:
 
     def lookup(self, key: tuple) -> Optional[TranslationEntry]:
         if self.perfect:
-            self.stats.add(f"{self.name}.hits")
+            self._counters[self._hits_key] += 1
             return TranslationEntry(vpn=key[2], pfn=key[2], vmid=key[0], vrf_id=key[1])
-        tlb_set = self._set_for(key)
+        tlb_set = self._sets[key[2] % self.num_sets]
         entry = tlb_set.get(key)
         if entry is None:
-            self.stats.add(f"{self.name}.misses")
+            self._counters[self._misses_key] += 1
             return None
         tlb_set.move_to_end(key)
-        self.stats.add(f"{self.name}.hits")
+        self._counters[self._hits_key] += 1
         return entry
 
     def probe(self, key: tuple) -> bool:
@@ -64,17 +69,18 @@ class SetAssociativeTLB:
         if self.perfect:
             return None
         key = entry.key
-        tlb_set = self._set_for(key)
+        tlb_set = self._sets[key[2] % self.num_sets]
         if key in tlb_set:
             tlb_set[key] = entry
             tlb_set.move_to_end(key)
             return None
         victim = None
+        counters = self._counters
         if len(tlb_set) >= self.ways:
             _, victim = tlb_set.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            counters[self._evictions_key] += 1
         tlb_set[key] = entry
-        self.stats.add(f"{self.name}.fills")
+        counters[self._fills_key] += 1
         return victim
 
     def invalidate(self, key: tuple) -> bool:

@@ -2,8 +2,8 @@
 
 Covers registration semantics, the capability-flag wiring into
 :class:`GPUSystem`, cache-identity guarantees (pinned signatures for the
-builtin arms — any schema change must update these *explicitly*), engine
-gating, the perfect-l2-tlb configure-transform fix, and the
+builtin arms — any schema change must update these *explicitly*),
+engine gating, the perfect-l2-tlb configure-transform fix, and the
 scheme-universe agreement between the CLI, the service, and the
 experiment grids.
 """
@@ -22,7 +22,6 @@ from repro.schemes import (
     SchemeSpec,
     apply_scheme,
     config_for,
-    engine_supported,
     get,
     register,
     register_plugin,
@@ -182,46 +181,8 @@ class TestPerfectL2Fix:
 
 
 class TestEngineGating:
-    def test_builtins_support_both_engines(self):
-        for member in TxScheme:
-            assert engine_supported(member.value, "event")
-            assert engine_supported(member.value, "vectorized")
-
-    def test_fallback_plugin_supports_vectorized(self):
-        # "fallback" means the vectorized engine transparently routes the
-        # scheme through the event-exact path — still a supported engine.
-        assert engine_supported("subregion-coalescing", "vectorized")
-
-    def test_unsupported_plugin_rejects_vectorized_engine(self):
-        register_plugin(
-            "event-only", "test-only scheme", vectorized="unsupported"
-        )
-        try:
-            assert engine_supported("event-only", "event")
-            assert not engine_supported("event-only", "vectorized")
-            config = config_for("event-only")
-            with pytest.raises(ValueError, match="does not support engine"):
-                config.with_engine("vectorized")
-        finally:
-            unregister("event-only")
-
-    def test_service_rejects_unsupported_engine_combo(self):
-        from repro.service.jobs import SpecError, validate_spec
-
-        register_plugin(
-            "event-only", "test-only scheme", vectorized="unsupported"
-        )
-        try:
-            with pytest.raises(SpecError, match="does not support engine"):
-                validate_spec(
-                    {
-                        "apps": ["GUPS"],
-                        "schemes": ["event-only"],
-                        "engine": "vectorized",
-                    }
-                )
-        finally:
-            unregister("event-only")
+    """The analytical estimator refuses schemes it cannot model; the event
+    simulator runs every registered scheme."""
 
     def test_analytical_gating(self):
         from repro.sim.analytical import FunctionalReachModel

@@ -52,7 +52,7 @@ class TestEndpoints:
         assert version["report_schema"] == REPORT_SCHEMA
         assert "fig13" in version["figures"]
         assert "GUPS" in version["apps"]
-        assert version["engines"] == ["event", "vectorized"]
+        assert "engines" not in version
 
     def test_unknown_route_404(self, live):
         _, _, client = live

@@ -1,5 +1,7 @@
 """Job-spec validation, canonicalization, and grid expansion."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import TxScheme
@@ -67,9 +69,13 @@ class TestValidation:
         assert "baseline" in excinfo.value.choices
 
     def test_unknown_engine_lists_choices(self):
-        with pytest.raises(SpecError) as excinfo:
-            validate_spec({"figure": "fig13", "engine": "fpga"})
-        assert excinfo.value.choices == ["event", "vectorized"]
+        # There is one simulator; a spec naming an engine is rejected as an
+        # unknown field, and the error lists the fields a spec may set.
+        with pytest.raises(SpecError, match="unknown spec field") as excinfo:
+            validate_spec({"figure": "fig13", "engine": "event"})
+        assert excinfo.value.field == "engine"
+        assert excinfo.value.choices == sorted(KNOWN_FIELDS)
+        assert "engine" not in excinfo.value.choices
 
     @pytest.mark.parametrize("scale", [0, -1, "big", None])
     def test_bad_scale_rejected(self, scale):
@@ -138,26 +144,28 @@ class TestExpansion:
                 "apps": ["GUPS"],
                 "schemes": ["baseline"],
                 "scale": 0.05,
-                "engine": "vectorized",
                 "page_size": 65536,
                 "l2_tlb_entries": 512,
             }
         )
         (job,) = expand_spec(spec)
-        assert job.config.engine == "vectorized"
         assert job.config.page_size == 65536
         assert job.config.tlb.l2_entries == 512
+        # The engine is no longer a knob: a config has no field to carry it.
+        assert "engine" not in {field.name for field in fields(job.config)}
 
     def test_engine_choice_does_not_change_cache_identity(self):
-        # The engine is a pure speed knob; the service must dedup a
-        # vectorized resubmission against event-mode cache entries.
-        base = validate_spec({"apps": ["GUPS"], "schemes": ["baseline"], "scale": 0.05})
-        fast = validate_spec(
-            {"apps": ["GUPS"], "schemes": ["baseline"], "scale": 0.05,
-             "engine": "vectorized"}
+        # Specs once chose an engine, which job keys left out. Without the
+        # field a spec's jobs keep the keys they had then, so a resubmission
+        # still dedups against results already in the store.
+        spec = validate_spec(
+            {
+                "apps": ["GUPS"],
+                "schemes": ["baseline"],
+                "scale": 0.05,
+                "page_size": 65536,
+                "l2_tlb_entries": 512,
+            }
         )
-        (event_job,) = expand_spec(base)
-        (vector_job,) = expand_spec(fast)
-        assert event_job.key() == vector_job.key()
-        # But the specs themselves are distinct submissions.
-        assert spec_key(base) != spec_key(fast)
+        (job,) = expand_spec(spec)
+        assert job.key() == "GUPS|0.05|0d66cd661023dd7a"

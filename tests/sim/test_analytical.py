@@ -2,8 +2,8 @@
 
 The estimator replays each wave's deterministic instruction stream through
 the *real* capacity/replacement structures with timing stripped, then
-applies a closed-form roofline latency model. ISSUE acceptance criterion:
-estimated PTW-PKI within ±15% of the event engine across the Figure 13
+applies a closed-form roofline latency model. Acceptance criterion:
+estimated PTW-PKI within ±15% of the simulator across the Figure 13
 grid. Because the reach model reuses the simulator's own structures, the
 measured error is far tighter (MAPE ~0.2%, worst ~0.7% at the battery
 scale), so alongside the required ±15% per-job bound we pin a 5% aggregate
@@ -14,10 +14,6 @@ Jobs whose simulated walk count is tiny (< ``MIN_WALKS``) are excluded
 from the *relative* PTW-PKI bounds — a handful of absolute walks of noise
 is a huge relative error on a near-zero denominator — but still assert
 exact instruction counts, which must match the simulator for every job.
-
-The vectorized engine stands in for the event engine here: the
-equivalence battery (test_engine_equivalence.py) proves byte identity, so
-comparisons against it are comparisons against the event engine.
 """
 
 from __future__ import annotations
@@ -62,12 +58,11 @@ def _memory_only_cache(monkeypatch):
 
 def _simulate(app_name, config, scale=SCALE):
     app = make_app(app_name, scale=scale, page_size=config.page_size)
-    return GPUSystem(config.with_engine("vectorized")).run(app)
+    return GPUSystem(config).run(app)
 
 
 def _grid_jobs():
-    """Every application once, rotating through the fig13 scheme variants
-    (same diagonal subsample as the engine-equivalence battery)."""
+    """Every application once, rotating through the fig13 scheme variants."""
 
     jobs = fig13_sweep_jobs(scale=SCALE)
     apps = list(dict.fromkeys(job.app_name for job in jobs))

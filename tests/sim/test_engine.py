@@ -209,10 +209,10 @@ class TestWaveScheduler:
 class TestPortResetHygiene:
     """Port.reset must restore the *complete* just-constructed state.
 
-    Back-to-back in-process runs (the engine-equivalence battery) reuse
-    nothing, but telemetry helpers reset ports between phases; a reset that
-    leaked an attached timeline sampler or accumulated idle gaps would bleed
-    one run's history into the next run's distributions.
+    Back-to-back in-process runs build fresh systems, but telemetry helpers
+    reset ports between phases; a reset that leaked an attached timeline
+    sampler or accumulated idle gaps would bleed one run's history into
+    the next run's distributions.
     """
 
     def test_reset_detaches_timeline_sampler(self):

@@ -1,34 +1,29 @@
-"""Differential equivalence battery: event engine vs vectorized engine.
+"""Equivalence battery: one result, however it is produced or looked up.
 
-``SystemConfig.engine = "vectorized"`` selects a compiled, flattened
-wavefront (:mod:`repro.sim.vectorized`) whose contract is **byte
-identity**: the full serialized :class:`~repro.sim.results.SimResult` —
-every counter, every kernel window, every distribution — must equal the
-event engine's, not merely approximate it. That contract is what justifies
-dropping ``engine`` from the result-cache signature
-(:func:`repro.experiments.common._config_signature`), so a vectorized
-sweep may serve and be served by event-mode cache entries.
+A simulated result is a pure function of its application, scale and
+configuration. These tests check that the different ways of producing or
+finding a result agree byte for byte:
 
-The battery compares the two engines across:
+- a sweep job retried after an injected fault vs a clean run;
+- a run with a timeline sampler and an idle tracker on every port vs the
+  same run unobserved;
+- a concurrent pair run again after the same pair ran in the opposite
+  order, in the same process (a system shares no state with the next);
+- the reversed lookup order and ``dedup_shared_fills`` on a scheme with
+  no LDS or I-cache for them to act on;
+- cache keys, pinned to the values they had while ``SystemConfig`` still
+  carried an ``engine`` field that the key left out.
 
-- a diagonal of the Figure 13 grid (every application once, rotating
-  through the scheme variants) — the **full** 90-job grid runs when
-  ``REPRO_EQUIVALENCE_FULL=1`` (CI nightly / manual deep check);
-- every :class:`TxScheme` on fast applications;
-- concurrent multi-application mode (``run_concurrent``);
-- fault-injected sweep execution (``REPRO_FAULT_SPEC``-style retries);
-- the observability fallback (attached timeline samplers force the
-  event-identical slow path);
-- result-cache identity between engines.
-
-Comparisons use :func:`serialize_result` (full structured equality, so a
-mismatch prints the differing counters) and
-:func:`result_fingerprint` (the byte-level digest the cache trusts).
+The per-arm result pins live in ``test_pins.py``; comparisons here use
+:func:`serialize_result` (full structured equality, so a mismatch prints
+the differing counters) and :func:`result_fingerprint`.
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
+from dataclasses import replace
+from typing import List, Optional
 
 import pytest
 
@@ -36,16 +31,18 @@ from repro.config import SystemConfig, TxScheme, table1_config
 from repro.experiments import common
 from repro.experiments.common import result_fingerprint, serialize_result
 from repro.experiments.fig13_main import sweep_jobs as fig13_sweep_jobs
+from repro.sim.engine import Port
 from repro.sim.runner import SweepJob, SweepRunner, drain_failures
+from repro.sim.stats import PortIdleTracker
+from repro.sim.trace import TimelineSampler
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
 SCALE = 0.02
-FULL_GRID = os.environ.get("REPRO_EQUIVALENCE_FULL", "").strip() == "1"
 
-# Applications that simulate in well under 100ms at the battery scale;
-# used where a test multiplies runs across schemes/modes.
-FAST_APPS = ("NW", "SSSP")
+# sha256 over the newline-joined SweepJob.key() values of the Figure 13
+# grid at SCALE, in grid order (90 jobs, 70 unique keys).
+FIG13_KEYS_SHA256 = "e7e162a3b38dd2b1ca0ab80e761ed99b7153b40bc070a48f19f2ec3aeb8f6489"
 
 
 @pytest.fixture(autouse=True)
@@ -68,98 +65,83 @@ def _memory_only_cache(monkeypatch):
     drain_failures()
 
 
-def run_engine(app_name: str, config: SystemConfig, scale: float = SCALE):
-    app = make_app(app_name, scale=scale, page_size=config.page_size)
-    return GPUSystem(config).run(app)
+def run_app(app_name: str, config: SystemConfig, system: Optional[GPUSystem] = None):
+    app = make_app(app_name, scale=SCALE, page_size=config.page_size)
+    return (system or GPUSystem(config)).run(app)
 
 
-def assert_byte_identical(event_result, vector_result) -> None:
+def run_pair(app_names: List[str], config: SystemConfig):
+    apps = [make_app(name, scale=SCALE, page_size=config.page_size) for name in app_names]
+    cus = config.gpu.num_cus
+    partitions = [list(range(cus // 2)), list(range(cus // 2, cus))]
+    return GPUSystem(config).run_concurrent(apps, partitions)
+
+
+def assert_byte_identical(expected, actual) -> None:
     """Full structured equality first (readable diffs), then the digest."""
 
-    assert serialize_result(vector_result) == serialize_result(event_result)
-    assert result_fingerprint(vector_result) == result_fingerprint(event_result)
+    assert serialize_result(actual) == serialize_result(expected)
+    assert result_fingerprint(actual) == result_fingerprint(expected)
 
 
-def _grid_jobs():
-    jobs = fig13_sweep_jobs(scale=SCALE)
-    if FULL_GRID:
-        return list(jobs)
-    # Diagonal subsample: every application exactly once, rotating through
-    # the grid's scheme variants so every scheme family appears.
-    apps = list(dict.fromkeys(job.app_name for job in jobs))
-    per_app = {name: [j for j in jobs if j.app_name == name] for name in apps}
-    return [
-        variants[index % len(variants)]
-        for index, variants in enumerate(per_app[name] for name in apps)
-    ]
+def _ports(root) -> List[Port]:
+    """Every Port reachable from ``root`` through attributes and containers."""
 
-
-def _job_id(job) -> str:
-    return f"{job.app_name}-{job.config.scheme.value}"
-
-
-class TestFig13Grid:
-    """Byte identity across the Figure 13 grid (diagonal or full)."""
-
-    @pytest.mark.parametrize("job", _grid_jobs(), ids=_job_id)
-    def test_grid_job_equivalence(self, job):
-        event = run_engine(job.app_name, job.config, job.scale)
-        vector = run_engine(
-            job.app_name, job.config.with_engine("vectorized"), job.scale
-        )
-        assert_byte_identical(event, vector)
+    found: List[Port] = []
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, bool, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Port):
+            found.append(obj)
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for name in getattr(type(obj), "__slots__", ()):
+                stack.append(getattr(obj, name, None))
+    return found
 
 
 class TestSchemes:
-    """Every TxScheme, including the ones the grid's diagonal missed."""
-
-    @pytest.mark.parametrize("scheme", list(TxScheme), ids=lambda s: s.value)
-    @pytest.mark.parametrize("app_name", FAST_APPS)
-    def test_scheme_equivalence(self, app_name, scheme):
-        config = table1_config(scheme)
-        event = run_engine(app_name, config)
-        vector = run_engine(app_name, config.with_engine("vectorized"))
-        assert_byte_identical(event, vector)
-
     def test_ablation_orders_and_dedup(self):
-        """lds_before_icache=False and dedup_shared_fills=True variants."""
+        """Both ablation knobs act only through the LDS and the I-cache:
+        on the baseline they change nothing, while on icache+lds they
+        change the same GUPS job."""
 
-        from dataclasses import replace
-
-        base = table1_config(TxScheme.ICACHE_LDS)
-        for variant in (
-            replace(base, lds_before_icache=False),
-            replace(base, dedup_shared_fills=True),
-        ):
-            event = run_engine("NW", variant)
-            vector = run_engine("NW", variant.with_engine("vectorized"))
-            assert_byte_identical(event, vector)
+        baseline = table1_config(TxScheme.BASELINE)
+        combined = table1_config(TxScheme.ICACHE_LDS)
+        baseline_result = run_app("GUPS", baseline)
+        combined_print = result_fingerprint(run_app("GUPS", combined))
+        for knob in ({"lds_before_icache": False}, {"dedup_shared_fills": True}):
+            assert_byte_identical(baseline_result, run_app("GUPS", replace(baseline, **knob)))
+            knob_print = result_fingerprint(run_app("GUPS", replace(combined, **knob)))
+            assert knob_print != combined_print, knob
 
 
 class TestConcurrentMode:
-    """run_concurrent: per-app results must match engine-for-engine."""
+    """run_concurrent: a system shares no state with the systems before it."""
 
     @pytest.mark.parametrize(
         "scheme", [TxScheme.BASELINE, TxScheme.ICACHE_LDS], ids=lambda s: s.value
     )
     def test_concurrent_equivalence(self, scheme):
-        def both_apps(config):
-            apps = [
-                make_app(name, scale=SCALE, page_size=config.page_size)
-                for name in FAST_APPS
-            ]
-            cus = config.gpu.num_cus
-            partitions = [
-                list(range(cus // 2)),
-                list(range(cus // 2, cus)),
-            ]
-            return GPUSystem(config).run_concurrent(apps, partitions)
-
-        event_results = both_apps(table1_config(scheme))
-        vector_results = both_apps(table1_config(scheme).with_engine("vectorized"))
-        assert len(event_results) == len(vector_results) == len(FAST_APPS)
-        for event, vector in zip(event_results, vector_results):
-            assert_byte_identical(event, vector)
+        config = table1_config(scheme)
+        first = run_pair(["NW", "SSSP"], config)
+        # In between, the reversed pair runs each application under the
+        # other's address space id; state a system left behind (a shared
+        # frame allocator, a shared memo) would show in the third run.
+        run_pair(["SSSP", "NW"], config)
+        again = run_pair(["NW", "SSSP"], config)
+        assert len(first) == len(again) == 2
+        for expected, actual in zip(first, again):
+            assert_byte_identical(expected, actual)
 
 
 # -- fault-injected execution ------------------------------------------------
@@ -174,53 +156,53 @@ class TestFaultRetries:
     """A retried (fault-injected) sweep yields the same bytes as a clean run."""
 
     def test_retry_equivalence(self):
-        reference = run_engine("NW", table1_config())
-        for engine in ("event", "vectorized"):
-            config = table1_config().with_engine(engine)
-            runner = SweepRunner(
-                jobs=1, use_cache=False, fault=_fail_first_attempt, max_retries=2
-            )
-            (result,) = runner.run([SweepJob("NW", config, SCALE)])
-            assert result is not None
-            assert_byte_identical(reference, result)
+        reference = run_app("NW", table1_config())
+        runner = SweepRunner(
+            jobs=1, use_cache=False, fault=_fail_first_attempt, max_retries=2,
+            retry_backoff_s=0,
+        )
+        (result,) = runner.run([SweepJob("NW", table1_config(), SCALE)])
+        assert result is not None
+        assert_byte_identical(reference, result)
 
 
 class TestObservabilityFallback:
-    """Attached telemetry must not perturb results — the vectorized engine
-    detects observed ports and routes through the event-identical path."""
+    """Attached telemetry only records: it must not perturb results."""
 
     def test_timelines_preserve_identity(self):
         config = table1_config(TxScheme.ICACHE_LDS)
-        event = run_engine("NW", config)
+        unobserved = run_app("GUPS", config)
 
-        vec_config = config.with_engine("vectorized")
-        app = make_app("NW", scale=SCALE, page_size=vec_config.page_size)
-        system = GPUSystem(vec_config)
-        timelines = system.attach_timelines()
-        vector = system.run(app)
+        system = GPUSystem(config)
+        ports = _ports(system)
+        assert {port.name for port in ports} >= {
+            "l2_tlb.port", "iommu.walkers", "l2_port", "icache.port", "icache.tx_port",
+            "lds.port", "lds_tx.tx_port", "cu0.l1_tlb_port", "cu0.simd0.issue",
+        }
+        samplers = []
+        for port in ports:
+            samplers.append(TimelineSampler(port.name, lanes=port.units))
+            port.attach_timeline(samplers[-1])
+            if port.idle_tracker is None:
+                port.idle_tracker = PortIdleTracker()
+        observed = run_app("GUPS", config, system)
 
-        assert_byte_identical(event, vector)
-        # The telemetry itself must still be recorded (the fallback ran).
-        assert any(len(sampler.intervals) for sampler in timelines.values())
+        assert_byte_identical(unobserved, observed)
+        # Every port the job used was observed (GUPS makes no LDS accesses).
+        used = [(port, sampler) for port, sampler in zip(ports, samplers) if port.busy_cycles]
+        assert {port.name for port, _ in used} >= {
+            "l2_tlb.port", "iommu.walkers", "lds_tx.tx_port", "icache.tx_port",
+        }
+        for port, sampler in used:
+            assert len(sampler) and port.idle_tracker.accesses, port.name
 
 
 class TestCacheIdentity:
-    """Both engines share one cache identity (engine is not in the key)."""
-
     def test_cache_key_ignores_engine(self):
-        config = table1_config()
-        assert common.cache_key("NW", config, SCALE) == common.cache_key(
-            "NW", config.with_engine("vectorized"), SCALE
-        )
+        """The keys were recorded while configs had an ``engine`` field the
+        key left out; deleting the field must not re-key the result store."""
 
-    def test_vectorized_run_serves_event_request(self):
-        config = table1_config()
-        vector = common.run_app(
-            "NW", config.with_engine("vectorized"), scale=SCALE
-        )
-        event_cached = common.run_app("NW", config, scale=SCALE)
-        assert event_cached is vector  # same in-process cache entry
-
-        common.clear_cache()
-        event_fresh = common.run_app("NW", config, scale=SCALE, use_cache=False)
-        assert_byte_identical(event_fresh, vector)
+        keys = [job.key() for job in fig13_sweep_jobs(SCALE)]
+        assert len(keys) == 90 and len(set(keys)) == 70
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == FIG13_KEYS_SHA256
+        assert common.cache_key("NW", table1_config(), SCALE) == "NW|0.02|26dedf985b22459e"

@@ -1,11 +1,11 @@
 """Golden-snapshot suite: full serialized results pinned as JSON files.
 
-The equivalence battery proves the two engines agree with *each other*;
-these goldens pin both against *history*. Every counter, kernel window
-and distribution of a small app/scheme matrix (2 apps x 4 schemes at
-scale 0.05, event engine) is stored under ``tests/goldens/`` — any
-behavioral drift in the simulator shows up as a readable JSON diff
-instead of a silently shifted figure.
+The goldens pin the simulator against *history*: every counter, kernel
+window and distribution of a small app/scheme matrix (2 apps x 4 schemes
+at scale 0.05) is stored under ``tests/goldens/`` — any behavioral drift
+in the simulator shows up as a readable JSON diff instead of a silently
+shifted figure. ``test_pins.py`` pins the fingerprints of every other
+simulated arm.
 
 After an *intentional* model change, regenerate with::
 
