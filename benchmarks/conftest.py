@@ -5,9 +5,11 @@ experiment harness, asserts the qualitative shape the paper reports, and
 saves the rendered table under ``benchmarks/results/``.
 
 Scale: ``REPRO_SCALE`` (default 1.0 — the calibrated operating point).
-Simulation results are shared across benchmarks through the harness's
-in-process cache (and ``REPRO_CACHE_DIR`` on disk if set), so the many
-figures that share baseline runs do not re-simulate them.
+Each harness runs its figure's grid through the sweep runner
+(``REPRO_JOBS`` workers) and builds its rows from that sweep's results.
+Results are shared across benchmarks through the runner's in-process
+memo (and ``REPRO_CACHE_DIR`` on disk if set), so the many figures that
+share baseline runs serve them as cache hits instead of re-simulating.
 """
 
 import os

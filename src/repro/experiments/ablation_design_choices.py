@@ -18,51 +18,41 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
-from repro.sim.runner import SweepJob, run_sweep
+from repro.experiments.common import ExperimentResult, Grid
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import HIGH_APPS, app_names
 
 PACKING_DENSITIES = (1, 2, 4, 8, 16)
 
 
-def _lookup_order_configs():
-    return [
-        replace(table1_config(TxScheme.ICACHE_LDS), lds_before_icache=lds_first)
-        for lds_first in (True, False)
-    ]
+def grid_lookup_order(apps: Optional[List[str]] = None) -> Grid:
+    combined = table1_config(TxScheme.ICACHE_LDS)
+    arms = {
+        "baseline": table1_config(),
+        "lds-first": replace(combined, lds_before_icache=True),
+        "icache-first": replace(combined, lds_before_icache=False),
+    }
+    return Grid(app_names() if apps is None else apps, arms, arm_major=True)
 
 
-def _packing_density_configs():
-    configs = []
+def grid_packing(apps: Optional[List[str]] = None) -> Grid:
+    """Baseline, then IC-only at each packing density (High apps by default)."""
+
+    icache = table1_config(TxScheme.ICACHE_ONLY)
+    arms = {"baseline": table1_config()}
     for density in PACKING_DENSITIES:
-        config = table1_config(TxScheme.ICACHE_ONLY)
-        configs.append(
-            replace(config, icache_tx=replace(config.icache_tx, tx_per_line=density))
+        arms[density] = replace(
+            icache, icache_tx=replace(icache.icache_tx, tx_per_line=density)
         )
-    return configs
+    return Grid(list(HIGH_APPS) if apps is None else apps, arms, arm_major=True)
 
 
 def sweep_jobs_lookup_order(scale=None, apps=None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
-    configs = [table1_config()] + _lookup_order_configs()
-    return [SweepJob(app, config, scale) for config in configs for app in apps]
+    return grid_lookup_order(apps).jobs(scale)
 
 
 def sweep_jobs_packing(scale=None, apps=None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = list(HIGH_APPS)
-    configs = [table1_config()] + _packing_density_configs()
-    return [SweepJob(app, config, scale) for config in configs for app in apps]
+    return grid_packing(apps).jobs(scale)
 
 
 def sweep_jobs(scale=None) -> List[SweepJob]:
@@ -74,10 +64,7 @@ def sweep_jobs(scale=None) -> List[SweepJob]:
 def run_lookup_order(
     scale: Optional[float] = None, apps: Optional[List[str]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
+    cells, report = grid_lookup_order(apps).sweep(scale)
     result = ExperimentResult(
         experiment_id="Ablation: lookup order",
         title="LDS-first vs I-cache-first probe/fill ordering (Section 4.4)",
@@ -86,33 +73,17 @@ def run_lookup_order(
             "probe costs 2 cycles; reversing sends victims to the shared "
             "structure first."
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_lookup_order(scale, apps), keep_going=True)
-    for lds_first in (True, False):
-        config = replace(
-            table1_config(TxScheme.ICACHE_LDS), lds_before_icache=lds_first
-        )
-        speedups = []
-        for app in apps:
-            baseline = run_app(app, table1_config(), scale)
-            sim = run_app(app, config, scale)
-            speedups.append(baseline.cycles / sim.cycles)
-        result.rows.append(
-            {
-                "order": "lds-first" if lds_first else "icache-first",
-                "gmean_speedup": gmean_speedup(speedups),
-            }
-        )
+    for order in cells.arms:
+        result.rows.append({"order": order, "gmean_speedup": cells.gmean(order)})
     return result
 
 
 def run_packing_density(
     scale: Optional[float] = None, apps: Optional[List[str]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = list(HIGH_APPS)
+    cells, report = grid_packing(apps).sweep(scale)
     result = ExperimentResult(
         experiment_id="Ablation: I-cache packing",
         title="Translations packed per I-cache line (Figures 8b/8c sweep)",
@@ -120,23 +91,14 @@ def run_packing_density(
             "Paper endpoints: 1/line gains ~nothing, 8/line (+widened "
             "compressed tags) delivers the IC-only result. High apps only."
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_packing(scale, apps), keep_going=True)
-    for density in PACKING_DENSITIES:
-        config = table1_config(TxScheme.ICACHE_ONLY)
-        config = replace(
-            config, icache_tx=replace(config.icache_tx, tx_per_line=density)
-        )
-        speedups = []
-        for app in apps:
-            baseline = run_app(app, table1_config(), scale)
-            sim = run_app(app, config, scale)
-            speedups.append(baseline.cycles / sim.cycles)
+    for density in cells.arms:
         result.rows.append(
             {
                 "tx_per_line": density,
                 "total_ic_entries": density * 256 * 2,  # 2 I-caches
-                "gmean_speedup": gmean_speedup(speedups),
+                "gmean_speedup": cells.gmean(density),
             }
         )
     return result

@@ -13,20 +13,26 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
+from repro.experiments.common import ExperimentResult, Grid
 from repro.workloads.registry import app_names
 
 SEGMENT_SIZES = (32, 64)
 
 
+def grid() -> Grid:
+    """Baseline, then IC+LDS at each LDS segment size."""
+
+    combined = table1_config(TxScheme.ICACHE_LDS)
+    arms = {"baseline": table1_config()}
+    for segment_bytes in SEGMENT_SIZES:
+        arms[segment_bytes] = replace(
+            combined, lds_tx=replace(combined.lds_tx, segment_bytes=segment_bytes)
+        )
+    return Grid(app_names(), arms)
+
+
 def run(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = grid().sweep(scale)
     result = ExperimentResult(
         experiment_id="Section 6.3.1",
         title="LDS segment size ablation (32B / 3-way vs 64B / 6-way)",
@@ -34,20 +40,14 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
             "Paper: no improvement from 64B segments — higher associativity "
             "without more capacity does not help capacity misses."
         ),
+        sweep_report=report,
     )
-    for segment_bytes in SEGMENT_SIZES:
-        cfg = table1_config(TxScheme.ICACHE_LDS)
-        cfg = replace(cfg, lds_tx=replace(cfg.lds_tx, segment_bytes=segment_bytes))
-        speedups = []
-        for app in app_names():
-            baseline = run_app(app, table1_config(), scale)
-            sim = run_app(app, cfg, scale)
-            speedups.append(baseline.cycles / sim.cycles)
+    for segment_bytes in cells.arms:
         result.rows.append(
             {
                 "segment_bytes": segment_bytes,
-                "tx_ways": cfg.lds_tx.ways_per_segment,
-                "gmean_speedup": gmean_speedup(speedups),
+                "tx_ways": cells.grid.arms[segment_bytes].lds_tx.ways_per_segment,
+                "gmean_speedup": cells.gmean(segment_bytes),
             }
         )
     return result

@@ -4,9 +4,13 @@
   (:func:`default_store`): many figures share the same baseline runs, and
   pytest-benchmark repeats harness calls.
 - ``simulate``: one job against an explicit store, never the memo (the
-  body of every sweep attempt); ``run_app``: the memoized call harnesses
-  use.
-- ``ExperimentResult``: rows + formatting shared by all figure harnesses.
+  body of every sweep attempt); ``run_app``: the memoized call.
+- ``Grid``: one figure's app × arm grid, declared once. Its ``jobs`` are
+  the figure's ``sweep_jobs*``; its ``sweep`` runs them through the sweep
+  runner and hands the row loop a :class:`Cells` lookup plus the
+  :class:`~repro.sim.runner.SweepReport`.
+- ``ExperimentResult``: rows + formatting shared by all figure harnesses,
+  and the report of the sweep that produced them.
 
 Scale: experiments honour the ``REPRO_SCALE`` environment variable
 (default 1.0). Scaling shrinks per-wave work, keeping every mechanism
@@ -21,10 +25,11 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, TxScheme, table1_config
 from repro.sim.results import SimResult, geomean
+from repro.sim.runner import SweepJob, SweepReport, SweepRunner
 from repro.sim.store import ResultStore
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
@@ -173,9 +178,7 @@ def run_app(
 
     if config is None:
         config = table1_config()
-    if scale is None:
-        scale = DEFAULT_SCALE
-    scale = float(scale)
+    scale = resolve_scale(scale)
     if not use_cache:
         return simulate(app_name, config, scale, None)
     key = _cache_key(app_name, config, scale)
@@ -189,22 +192,115 @@ def scheme_config(scheme: TxScheme) -> SystemConfig:
     return table1_config(scheme)
 
 
-def speedup_over_baseline(
-    app_name: str, config: SystemConfig, scale: Optional[float] = None
-) -> float:
-    baseline = run_app(app_name, table1_config(), scale)
-    candidate = run_app(app_name, config, scale)
-    return baseline.cycles / candidate.cycles
+def scheme_arms(schemes: Sequence, label=lambda scheme: scheme.value) -> Dict:
+    """Grid arms: the baseline, then the Table 1 configuration of each
+    scheme, labelled ``label(scheme)``."""
+
+    return {"baseline": table1_config()} | {
+        label(scheme): table1_config(scheme) for scheme in schemes
+    }
+
+
+def resolve_scale(scale: Optional[float]) -> float:
+    """``scale``, or ``REPRO_SCALE``'s default when it is ``None``."""
+
+    return DEFAULT_SCALE if scale is None else float(scale)
+
+
+@dataclass
+class Grid:
+    """One figure's app × arm grid, declared once.
+
+    ``arms`` maps each arm's label to its configuration. Jobs enumerate
+    app-major (every arm of one app, then the next app) or, with
+    ``arm_major``, one arm across every app at a time. A figure's
+    ``sweep_jobs*`` and its row loop are both built from this one
+    declaration, so they cannot drift apart.
+    """
+
+    apps: Sequence[str]
+    arms: Dict[Hashable, SystemConfig]
+    arm_major: bool = False
+
+    def cells(self) -> List[Tuple[str, Hashable]]:
+        if self.arm_major:
+            return [(app, label) for label in self.arms for app in self.apps]
+        return [(app, label) for app in self.apps for label in self.arms]
+
+    def jobs(self, scale: Optional[float] = None) -> List[SweepJob]:
+        scale = resolve_scale(scale)
+        return [SweepJob(app, self.arms[label], scale) for app, label in self.cells()]
+
+    def sweep(self, scale: Optional[float] = None) -> Tuple["Cells", SweepReport]:
+        """Run the grid through the sweep runner (``keep_going``: a failed
+        job leaves a gap, not an abort); returns the cells and the report."""
+
+        scale = resolve_scale(scale)
+        runner = SweepRunner(keep_going=True)
+        results, report = runner.run_with_report(self.jobs(scale))
+        return Cells(self, scale, results), report
+
+
+class Cells:
+    """One swept grid's results, looked up as ``cells(app, label)``."""
+
+    def __init__(
+        self, grid: Grid, scale: float, results: Sequence[Optional[SimResult]]
+    ) -> None:
+        self.grid = grid
+        self.scale = scale
+        self._results = dict(zip(grid.cells(), results))
+
+    def __call__(self, app: str, label: Hashable) -> SimResult:
+        if (app, label) not in self._results:
+            raise KeyError(f"cell ({app!r}, {label!r}) is outside the grid")
+        result = self._results[app, label]
+        if result is None:
+            # The sweep failed this job terminally: re-simulate it here.
+            config = self.grid.arms[label]
+            result = self._results[app, label] = run_app(app, config, self.scale)
+        return result
+
+    @property
+    def arms(self) -> List[Hashable]:
+        """Every arm label but the baseline's."""
+
+        return [label for label in self.grid.arms if label != "baseline"]
+
+    def speedup(
+        self, app: str, label: Hashable, baseline: Hashable = "baseline"
+    ) -> float:
+        return self(app, baseline).cycles / self(app, label).cycles
+
+    def speedup_rows(self, **columns) -> List[Dict]:
+        """One row per app: ``app``, then ``columns`` (each a function of
+        the app), then every arm's speedup over the baseline."""
+
+        return [
+            {"app": app}
+            | {name: column(app) for name, column in columns.items()}
+            | {label: self.speedup(app, label) for label in self.arms}
+            for app in self.grid.apps
+        ]
+
+    def gmean(self, label: Hashable, baseline: Hashable = "baseline") -> float:
+        """Geometric-mean speedup of ``label`` over ``baseline`` across the apps."""
+
+        return gmean_speedup(
+            [self.speedup(app, label, baseline) for app in self.grid.apps]
+        )
 
 
 @dataclass
 class ExperimentResult:
-    """Rows of one reproduced table/figure, plus paper reference points."""
+    """Rows of one reproduced table/figure, plus paper reference points
+    and the report of the sweep that simulated its grid."""
 
     experiment_id: str
     title: str
     rows: List[Dict] = field(default_factory=list)
     paper_notes: str = ""
+    sweep_report: Optional[SweepReport] = None
 
     @property
     def columns(self) -> List[str]:
@@ -248,3 +344,20 @@ class ExperimentResult:
 
 def gmean_speedup(speedups: Sequence[float]) -> float:
     return geomean(speedups)
+
+
+def gmean_row(rows: List[Dict], columns: Sequence[Hashable], **leading) -> Dict:
+    """A summary row: the ``leading`` cells, then each column's gmean over ``rows``."""
+
+    return leading | {
+        column: gmean_speedup([row[column] for row in rows]) for column in columns
+    }
+
+
+def mean_row(rows: List[Dict], columns: Sequence[Hashable], **leading) -> Dict:
+    """A summary row: the ``leading`` cells, then each column's arithmetic
+    mean over ``rows``."""
+
+    return leading | {
+        column: sum(row[column] for row in rows) / len(rows) for column in columns
+    }

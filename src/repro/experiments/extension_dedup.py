@@ -17,22 +17,26 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
+from repro.experiments.common import ExperimentResult, Grid, gmean_row
 from repro.workloads.registry import app_names
+
+
+def grid(apps: Optional[List[str]] = None) -> Grid:
+    """Baseline, IC+LDS, and IC+LDS with the shared-fill filter."""
+
+    combined = table1_config(TxScheme.ICACHE_LDS)
+    arms = {
+        "baseline": table1_config(),
+        "icache_lds": combined,
+        "icache_lds_dedup": replace(combined, dedup_shared_fills=True),
+    }
+    return Grid(app_names() if apps is None else apps, arms)
 
 
 def run(
     scale: Optional[float] = None, apps: Optional[List[str]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
+    cells, report = grid(apps).sweep(scale)
     result = ExperimentResult(
         experiment_id="Extension: dedup filter",
         title="Shared-fill filter vs baseline IC+LDS (paper future work)",
@@ -41,25 +45,11 @@ def run(
             "future work. Shared-heavy apps should benefit; CU-partitioned "
             "apps (GEV) should be unaffected."
         ),
+        sweep_report=report,
     )
-    combined = table1_config(TxScheme.ICACHE_LDS)
-    filtered = replace(combined, dedup_shared_fills=True)
-    speedups = {"icache_lds": [], "icache_lds_dedup": []}
-    for app in apps:
-        baseline = run_app(app, table1_config(), scale)
-        plain = run_app(app, combined, scale)
-        dedup = run_app(app, filtered, scale)
-        row = {
-            "app": app,
-            "icache_lds": baseline.cycles / plain.cycles,
-            "icache_lds_dedup": baseline.cycles / dedup.cycles,
-            "lds_fills_skipped": int(dedup.counter("fill_flow.lds_skipped_shared")),
-        }
-        speedups["icache_lds"].append(row["icache_lds"])
-        speedups["icache_lds_dedup"].append(row["icache_lds_dedup"])
-        result.rows.append(row)
-    result.rows.append(
-        {"app": "GMEAN"}
-        | {label: gmean_speedup(values) for label, values in speedups.items()}
-    )
+    rows = cells.speedup_rows()
+    for row in rows:
+        dedup = cells(row["app"], "icache_lds_dedup")
+        row["lds_fills_skipped"] = int(dedup.counter("fill_flow.lds_skipped_shared"))
+    result.rows = rows + [gmean_row(rows, cells.arms, app="GMEAN")]
     return result

@@ -14,13 +14,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
-from repro.sim.runner import SweepJob, run_sweep
+from repro.experiments.common import ExperimentResult, Grid, gmean_speedup
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
 #: Default sweep; the full-paper sweep (…→2M) saturates on our scaled
@@ -28,30 +23,28 @@ from repro.workloads.registry import app_names
 DEFAULT_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 65536, 2 * 1024 * 1024)
 
 
+def grid(sizes: Optional[List[int]] = None) -> Grid:
+    """The Figures 2+3 grid: baseline, each L2 TLB size, then the
+    Perfect-L2-TLB bound, each across every app."""
+
+    arms = {"baseline": table1_config()}
+    for entries in DEFAULT_SIZES if sizes is None else sizes:
+        arms[entries] = table1_config().with_l2_tlb_entries(entries)
+    arms["perfect"] = table1_config().with_perfect_l2_tlb()
+    return Grid(app_names(), arms, arm_major=True)
+
+
 def sweep_jobs(
     scale: Optional[float] = None,
     sizes: Optional[List[int]] = None,
 ) -> List[SweepJob]:
-    """The full Figures 2+3 job grid, enumerated up front."""
-
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if sizes is None:
-        sizes = list(DEFAULT_SIZES)
-    configs = [table1_config()]
-    configs += [table1_config().with_l2_tlb_entries(entries) for entries in sizes]
-    configs.append(table1_config().with_perfect_l2_tlb())
-    return [SweepJob(app, config, scale) for config in configs for app in app_names()]
+    return grid(sizes).jobs(scale)
 
 
 def run(
     scale: Optional[float] = None, sizes: Optional[List[int]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if sizes is None:
-        sizes = list(DEFAULT_SIZES)
-    run_sweep(sweep_jobs(scale, sizes), keep_going=True)
+    cells, report = grid(sizes).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figures 2 + 3",
         title="Page walks and performance vs L2 TLB size",
@@ -59,20 +52,23 @@ def run(
             "Paper: ~85% fewer walks at 2M entries; +14.7% gmean at 8K; "
             "+50.1% at 2M; SRAD/PRK/SSSP insensitive."
         ),
+        sweep_report=report,
     )
-    baselines = {name: run_app(name, table1_config(), scale) for name in app_names()}
-    for entries in sizes:
-        config = table1_config().with_l2_tlb_entries(entries)
-        row = {"l2_entries": entries}
+    # One row per L2 TLB size, then the Perfect-L2-TLB upper bound.
+    for label in cells.arms:
+        row = {"l2_entries": label}
         speedups = []
         walk_ratios = []
-        for name in app_names():
-            sim = run_app(name, config, scale)
-            base = baselines[name]
+        for name in cells.grid.apps:
+            sim = cells(name, label)
+            base = cells(name, "baseline")
             speedup = base.cycles / sim.cycles
-            walk_ratio = (
-                sim.page_walks / base.page_walks if base.page_walks else 1.0
-            )
+            if label == "perfect":
+                walk_ratio = 0.0
+            else:
+                walk_ratio = (
+                    sim.page_walks / base.page_walks if base.page_walks else 1.0
+                )
             row[f"{name}_speedup"] = speedup
             row[f"{name}_walks"] = walk_ratio
             speedups.append(speedup)
@@ -80,18 +76,4 @@ def run(
         row["gmean_speedup"] = gmean_speedup(speedups)
         row["mean_walk_ratio"] = sum(walk_ratios) / len(walk_ratios)
         result.rows.append(row)
-
-    # Perfect-L2-TLB upper bound.
-    perfect = table1_config().with_perfect_l2_tlb()
-    row = {"l2_entries": "perfect"}
-    speedups = []
-    for name in app_names():
-        sim = run_app(name, perfect, scale)
-        base = baselines[name]
-        row[f"{name}_speedup"] = base.cycles / sim.cycles
-        row[f"{name}_walks"] = 0.0
-        speedups.append(base.cycles / sim.cycles)
-    row["gmean_speedup"] = gmean_speedup(speedups)
-    row["mean_walk_ratio"] = 0.0
-    result.rows.append(row)
     return result

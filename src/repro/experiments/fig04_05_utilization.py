@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.config import table1_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, run_app
+from repro.experiments.common import ExperimentResult, Grid
 from repro.sim.results import SimResult
 from repro.system import GPUSystem
 from repro.workloads.registry import app_names
@@ -68,8 +68,7 @@ def _box(values: List[float]) -> Dict[str, float]:
 
 
 def run(scale: Optional[float] = None, include_survey: bool = True) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = Grid(app_names(), {"baseline": table1_config()}).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figures 4 + 5",
         title="LDS and I-cache capacity / port-bandwidth under-utilization",
@@ -78,12 +77,15 @@ def run(scale: Optional[float] = None, include_survey: bool = True) -> Experimen
             "LDS; ~24% always fill the I-cache; typical port idle gaps are "
             "tens of cycles."
         ),
+        sweep_report=report,
     )
     sims: Dict[str, SimResult] = {
-        name: run_app(name, table1_config(), scale) for name in app_names()
+        name: cells(name, "baseline") for name in cells.grid.apps
     }
     if include_survey:
-        sims.update(_survey_results(scale))
+        # The survey suite is not in the app registry, so it cannot be a
+        # sweep job; it simulates in-process, memoized per scale.
+        sims.update(_survey_results(cells.scale))
 
     for name, sim in sims.items():
         lds_req = sim.distributions.get("lds_bytes_per_wg")

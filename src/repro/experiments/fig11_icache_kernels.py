@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import table1_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, run_app
+from repro.experiments.common import ExperimentResult, Grid
 from repro.experiments.fig04_05_utilization import kernel_icache_utilization
-from repro.workloads.registry import app_names, make_app
+from repro.workloads.registry import make_app
 
 #: Apps shown in Figure 11 (all multi-kernel apps).
 FIGURE11_APPS = ("ATAX", "MVT", "BICG", "NW", "BFS", "SSSP", "PRK", "GUPS")
@@ -24,8 +24,7 @@ MAX_POINTS = 40
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = Grid(FIGURE11_APPS, {"baseline": table1_config()}).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 11",
         title="Per-kernel I-cache utilization over time",
@@ -34,10 +33,11 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
             "except NW (nw_kernel1), so the runtime flush applies to all "
             "but NW; GEV and SRAD are single-kernel and omitted."
         ),
+        sweep_report=report,
     )
     for name in FIGURE11_APPS:
-        sim = run_app(name, table1_config(), scale)
-        app = make_app(name, scale=scale)
+        sim = cells(name, "baseline")
+        app = make_app(name, scale=cells.scale)
         utilization = kernel_icache_utilization(sim)
         series = [round(value, 4) for value in utilization[:MAX_POINTS]]
         result.rows.append(
@@ -51,5 +51,4 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
                 ),
             }
         )
-    assert set(FIGURE11_APPS) <= set(app_names())
     return result

@@ -18,13 +18,14 @@ from typing import Dict, List, Optional
 
 from repro.config import ICacheReplacement, SystemConfig, TxScheme, table1_config
 from repro.experiments.common import (
-    DEFAULT_SCALE,
     ExperimentResult,
-    gmean_speedup,
-    run_app,
+    Grid,
+    gmean_row,
+    mean_row,
+    scheme_arms,
 )
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, run_sweep
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import CATEGORIES, app_names
 
 #: Figure 13b/13c scheme arms, derived from the scheme registry (the
@@ -53,18 +54,20 @@ def icache_variant_configs() -> Dict[str, SystemConfig]:
     }
 
 
+def grid_13a() -> Grid:
+    return Grid(app_names(), {"baseline": table1_config(), **icache_variant_configs()})
+
+
+def grid_13bc() -> Grid:
+    return Grid(app_names(), scheme_arms(SCHEMES))
+
+
 def sweep_jobs_13a(scale: Optional[float] = None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    configs = [table1_config()] + list(icache_variant_configs().values())
-    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
+    return grid_13a().jobs(scale)
 
 
 def sweep_jobs_13bc(scale: Optional[float] = None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    configs = [table1_config()] + [table1_config(scheme) for scheme in SCHEMES]
-    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
+    return grid_13bc().jobs(scale)
 
 
 def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
@@ -74,9 +77,7 @@ def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
 
 
 def run_fig13a(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    run_sweep(sweep_jobs_13a(scale), keep_going=True)
+    cells, report = grid_13a().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 13a",
         title="Reconfigurable I-cache design variants",
@@ -85,30 +86,15 @@ def run_fig13a(scale: Optional[float] = None) -> ExperimentResult:
             "+flush +13.6%; flush gives no gain for GEV/SRAD (single "
             "kernel) and NW (back-to-back)."
         ),
+        sweep_report=report,
     )
-    configs = icache_variant_configs()
-    speedups: Dict[str, list] = {name: [] for name in configs}
-    for app in app_names():
-        baseline = run_app(app, table1_config(), scale)
-        row = {"app": app}
-        for variant, config in configs.items():
-            sim = run_app(app, config, scale)
-            speedup = baseline.cycles / sim.cycles
-            row[variant] = speedup
-            speedups[variant].append(speedup)
-        result.rows.append(row)
-    gmean_row = {"app": "GMEAN"}
-    for variant, values in speedups.items():
-        gmean_row[variant] = gmean_speedup(values)
-    result.rows.append(gmean_row)
+    result.rows = cells.speedup_rows()
+    result.rows.append(gmean_row(result.rows, cells.arms, app="GMEAN"))
     return result
 
 
 def run_fig13b(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    run_sweep(sweep_jobs_13bc(scale), keep_going=True)
-    schemes = SCHEMES
+    cells, report = grid_13bc().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 13b",
         title="Overall performance: LDS / I-cache / combined victim caches",
@@ -117,39 +103,19 @@ def run_fig13b(scale: Optional[float] = None) -> ExperimentResult:
             "High+Medium only: +25.9% / +36.5% / +147.2%; ATAX/BICG are "
             "the largest winners and the Low apps are unharmed."
         ),
+        sweep_report=report,
     )
-    speedups = {scheme: [] for scheme in schemes}
-    hm_speedups = {scheme: [] for scheme in schemes}
-    for app in app_names():
-        baseline = run_app(app, table1_config(), scale)
-        row = {"app": app, "category": CATEGORIES[app]}
-        for scheme in schemes:
-            sim = run_app(app, table1_config(scheme), scale)
-            speedup = baseline.cycles / sim.cycles
-            row[scheme.value] = speedup
-            speedups[scheme].append(speedup)
-            if CATEGORIES[app] in ("H", "M"):
-                hm_speedups[scheme].append(speedup)
-        result.rows.append(row)
-    result.rows.append(
-        {"app": "GMEAN", "category": "all"}
-        | {scheme.value: gmean_speedup(values) for scheme, values in speedups.items()}
-    )
-    result.rows.append(
-        {"app": "GMEAN-H+M", "category": "H+M"}
-        | {
-            scheme.value: gmean_speedup(values)
-            for scheme, values in hm_speedups.items()
-        }
-    )
+    rows = cells.speedup_rows(category=CATEGORIES.get)
+    high_medium = [row for row in rows if row["category"] in ("H", "M")]
+    result.rows = rows + [
+        gmean_row(rows, cells.arms, app="GMEAN", category="all"),
+        gmean_row(high_medium, cells.arms, app="GMEAN-H+M", category="H+M"),
+    ]
     return result
 
 
 def run_fig13c(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    run_sweep(sweep_jobs_13bc(scale), keep_going=True)
-    schemes = SCHEMES
+    cells, report = grid_13bc().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 13c",
         title="Normalized DRAM energy",
@@ -158,25 +124,15 @@ def run_fig13c(scale: Optional[float] = None) -> ExperimentResult:
             "reduction (−27.3%). Savings come from avoided page-walk DRAM "
             "traffic and shorter runtime (background energy)."
         ),
+        sweep_report=report,
     )
-    means = {scheme: [] for scheme in schemes}
-    for app in app_names():
-        baseline = run_app(app, table1_config(), scale)
-        base_energy = baseline.counter("energy.total_nj")
+    columns = [f"{label}_energy" for label in cells.arms]
+    for app in cells.grid.apps:
+        base_energy = cells(app, "baseline").counter("energy.total_nj")
         row = {"app": app}
-        for scheme in schemes:
-            sim = run_app(app, table1_config(scheme), scale)
-            ratio = (
-                sim.counter("energy.total_nj") / base_energy if base_energy else 1.0
-            )
-            row[f"{scheme.value}_energy"] = ratio
-            means[scheme].append(ratio)
+        for label, column in zip(cells.arms, columns):
+            energy = cells(app, label).counter("energy.total_nj")
+            row[column] = energy / base_energy if base_energy else 1.0
         result.rows.append(row)
-    result.rows.append(
-        {"app": "MEAN"}
-        | {
-            f"{scheme.value}_energy": sum(values) / len(values)
-            for scheme, values in means.items()
-        }
-    )
+    result.rows.append(mean_row(result.rows, columns, app="MEAN"))
     return result

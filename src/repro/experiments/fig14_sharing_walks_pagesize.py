@@ -14,14 +14,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
+from repro.experiments.common import ExperimentResult, Grid, mean_row, scheme_arms
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, run_sweep
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
 PAGE_SIZES = (4096, 64 * 1024, 2 * 1024 * 1024)
@@ -31,26 +26,28 @@ PAGE_SIZES = (4096, 64 * 1024, 2 * 1024 * 1024)
 _SCHEMES_14B = tuple(spec.scheme for spec in schemes_for_tag("fig13-victim"))
 
 
+def grid_14ab() -> Grid:
+    return Grid(app_names(), scheme_arms(_SCHEMES_14B))
+
+
+def grid_14c() -> Grid:
+    """Baseline and IC+LDS at each page size, labelled ``(page_size, arm)``."""
+
+    arms = {}
+    for page_size in PAGE_SIZES:
+        arms[page_size, "baseline"] = table1_config().with_page_size(page_size)
+        arms[page_size, "icache+lds"] = table1_config(
+            TxScheme.ICACHE_LDS
+        ).with_page_size(page_size)
+    return Grid(app_names(), arms, arm_major=True)
+
+
 def sweep_jobs_14ab(scale: Optional[float] = None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    configs = [table1_config()] + [table1_config(s) for s in _SCHEMES_14B]
-    return [
-        SweepJob(app, config, scale) for app in app_names() for config in configs
-    ]
+    return grid_14ab().jobs(scale)
 
 
 def sweep_jobs_14c(scale: Optional[float] = None) -> List[SweepJob]:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    jobs: List[SweepJob] = []
-    for page_size in PAGE_SIZES:
-        for config in (
-            table1_config().with_page_size(page_size),
-            table1_config(TxScheme.ICACHE_LDS).with_page_size(page_size),
-        ):
-            jobs.extend(SweepJob(app, config, scale) for app in app_names())
-    return jobs
+    return grid_14c().jobs(scale)
 
 
 def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
@@ -60,19 +57,15 @@ def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
 
 
 def run_fig14a(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = Grid(app_names(), {"baseline": table1_config()}).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 14a",
         title="Translations shared across CUs",
         paper_notes="Paper: sharing high except for GEV, NW and SRAD.",
+        sweep_report=report,
     )
-    run_sweep(
-        [SweepJob(app, table1_config(), scale) for app in app_names()],
-        keep_going=True,
-    )
-    for app in app_names():
-        sim = run_app(app, table1_config(), scale)
+    for app in cells.grid.apps:
+        sim = cells(app, "baseline")
         total = sim.counter("tx_sharing.total_pages")
         shared = sim.counter("tx_sharing.shared_pages")
         result.rows.append(
@@ -86,10 +79,7 @@ def run_fig14a(scale: Optional[float] = None) -> ExperimentResult:
 
 
 def run_fig14b(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    run_sweep(sweep_jobs_14ab(scale), keep_going=True)
-    schemes = _SCHEMES_14B
+    cells, report = grid_14ab().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 14b",
         title="Page walks normalized to baseline",
@@ -97,34 +87,22 @@ def run_fig14b(scale: Optional[float] = None) -> ExperimentResult:
             "Paper means: LDS 0.665, IC 0.594, IC+LDS 0.271 of baseline "
             "walks; SRAD unchanged (~zero baseline walks)."
         ),
+        sweep_report=report,
     )
-    means = {scheme: [] for scheme in schemes}
-    for app in app_names():
-        baseline = run_app(app, table1_config(), scale)
+    columns = [f"{label}_walks" for label in cells.arms]
+    for app in cells.grid.apps:
+        baseline = cells(app, "baseline")
         row = {"app": app, "baseline_walks": int(baseline.page_walks)}
-        for scheme in schemes:
-            sim = run_app(app, table1_config(scheme), scale)
-            ratio = (
-                sim.page_walks / baseline.page_walks
-                if baseline.page_walks
-                else 1.0
-            )
-            row[f"{scheme.value}_walks"] = ratio
-            means[scheme].append(ratio)
+        for label, column in zip(cells.arms, columns):
+            walks = cells(app, label).page_walks
+            row[column] = walks / baseline.page_walks if baseline.page_walks else 1.0
         result.rows.append(row)
-    result.rows.append(
-        {"app": "MEAN", "baseline_walks": ""}
-        | {
-            f"{scheme.value}_walks": sum(values) / len(values)
-            for scheme, values in means.items()
-        }
-    )
+    result.rows.append(mean_row(result.rows, columns, app="MEAN", baseline_walks=""))
     return result
 
 
 def run_fig14c(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = grid_14c().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 14c",
         title="IC+LDS speedup vs page size",
@@ -133,19 +111,16 @@ def run_fig14c(scale: Optional[float] = None) -> ExperimentResult:
             "At 2MB our scaled footprints leave almost no walks, so the "
             "measured effect is ~neutral (see EXPERIMENTS.md)."
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_14c(scale), keep_going=True)
     for page_size in PAGE_SIZES:
-        base_cfg = table1_config().with_page_size(page_size)
-        cfg = table1_config(TxScheme.ICACHE_LDS).with_page_size(page_size)
         row = {"page_size": page_size}
-        speedups = []
-        for app in app_names():
-            baseline = run_app(app, base_cfg, scale)
-            sim = run_app(app, cfg, scale)
-            speedup = baseline.cycles / sim.cycles
-            row[f"{app}_speedup"] = speedup
-            speedups.append(speedup)
-        row["gmean_speedup"] = gmean_speedup(speedups)
+        for app in cells.grid.apps:
+            row[f"{app}_speedup"] = cells.speedup(
+                app, (page_size, "icache+lds"), (page_size, "baseline")
+            )
+        row["gmean_speedup"] = cells.gmean(
+            (page_size, "icache+lds"), (page_size, "baseline")
+        )
         result.rows.append(row)
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, run_app
+from repro.experiments.common import ExperimentResult, Grid
 from repro.workloads.registry import app_names
 
 
@@ -26,8 +26,8 @@ def theoretical_max_entries(config=None) -> dict:
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    combined = {"icache+lds": table1_config(TxScheme.ICACHE_LDS)}
+    cells, report = Grid(app_names(), combined).sweep(scale)
     limits = theoretical_max_entries()
     result = ExperimentResult(
         experiment_id="Figure 15",
@@ -37,10 +37,10 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
             f"({limits['lds']} LDS + {limits['icache']} I-cache); the paper "
             "reports the same 16K bound (12K + 4K)."
         ),
+        sweep_report=report,
     )
-    config = table1_config(TxScheme.ICACHE_LDS)
-    for app in app_names():
-        sim = run_app(app, config, scale)
+    for app in cells.grid.apps:
+        sim = cells(app, "icache+lds")
         lds_peak = sim.counter("tx_entries.lds_peak")
         icache_peak = sim.counter("tx_entries.icache_peak")
         result.rows.append(

@@ -14,14 +14,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
+from repro.experiments.common import ExperimentResult, Grid, gmean_row, scheme_arms
 from repro.schemes import schemes_for_tag
-from repro.sim.runner import SweepJob, run_sweep
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
 SHARER_COUNTS = (1, 2, 4, 8)
@@ -41,52 +36,50 @@ def _fig16c_schemes():
 _FIG16C_SCHEMES = _fig16c_schemes()
 
 
-def _wire_latency_arms():
-    arms = [(0, 0)]
-    arms += [(extra, 0) for extra in WIRE_LATENCIES]
-    arms += [(0, extra) for extra in WIRE_LATENCIES]
-    arms += [(extra, extra) for extra in WIRE_LATENCIES]
-    return arms
+def grid_16a(apps: Optional[List[str]] = None) -> Grid:
+    """Baseline and IC-only at each sharer count, labelled ``(sharers, arm)``."""
+
+    arms = {}
+    for sharers in SHARER_COUNTS:
+        arms[sharers, "baseline"] = table1_config().with_icache_sharers(sharers)
+        arms[sharers, "icache"] = table1_config(
+            TxScheme.ICACHE_ONLY
+        ).with_icache_sharers(sharers)
+    return Grid(app_names() if apps is None else apps, arms, arm_major=True)
+
+
+def grid_16b(apps: Optional[List[str]] = None) -> Grid:
+    """Baseline, then IC+LDS with no extra wire latency and with each
+    extra latency on the I-cache, the LDS, and both."""
+
+    combined = table1_config(TxScheme.ICACHE_LDS)
+    arms = {"baseline": table1_config(), "no_extra": combined.with_extra_wire_latency()}
+    for name, icache, lds in (("ic_only", 1, 0), ("lds_only", 0, 1), ("ic_lds", 1, 1)):
+        for extra in WIRE_LATENCIES:
+            arms[f"{name}_{extra}"] = combined.with_extra_wire_latency(
+                icache * extra, lds * extra
+            )
+    return Grid(app_names() if apps is None else apps, arms, arm_major=True)
+
+
+def grid_16c() -> Grid:
+    """Baseline, then every ``fig16-ducati`` scheme, labelled by its name
+    with ``+`` spelled ``_``."""
+
+    arms = scheme_arms(_FIG16C_SCHEMES, label=lambda s: s.value.replace("+", "_"))
+    return Grid(app_names(), arms, arm_major=True)
 
 
 def sweep_jobs_16a(scale=None, apps=None):
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
-    jobs = []
-    for sharers in SHARER_COUNTS:
-        for config in (
-            table1_config().with_icache_sharers(sharers),
-            table1_config(TxScheme.ICACHE_ONLY).with_icache_sharers(sharers),
-        ):
-            jobs.extend(SweepJob(app, config, scale) for app in apps)
-    return jobs
+    return grid_16a(apps).jobs(scale)
 
 
 def sweep_jobs_16b(scale=None, apps=None):
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
-    configs = [table1_config()]
-    configs += [
-        table1_config(TxScheme.ICACHE_LDS).with_extra_wire_latency(ic, lds)
-        for ic, lds in _wire_latency_arms()
-    ]
-    return [SweepJob(app, config, scale) for config in configs for app in apps]
+    return grid_16b(apps).jobs(scale)
 
 
 def sweep_jobs_16c(scale=None):
-    if scale is None:
-        scale = DEFAULT_SCALE
-    configs = [table1_config()]
-    configs += [table1_config(scheme) for scheme in _FIG16C_SCHEMES]
-    return [
-        SweepJob(app, config, scale)
-        for config in configs
-        for app in app_names()
-    ]
+    return grid_16c().jobs(scale)
 
 
 def sweep_jobs(scale=None):
@@ -98,37 +91,23 @@ def sweep_jobs(scale=None):
 def run_fig16a(
     scale: Optional[float] = None, apps: Optional[List[str]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
+    cells, report = grid_16a(apps).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 16a",
         title="I-cache sharers sensitivity (IC-only, capacity constant)",
         paper_notes="Paper: +17.3% at 1 sharer rising to +38.4% at 8.",
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_16a(scale, apps), keep_going=True)
     for sharers in SHARER_COUNTS:
-        base_cfg = table1_config().with_icache_sharers(sharers)
-        cfg = table1_config(TxScheme.ICACHE_ONLY).with_icache_sharers(sharers)
-        speedups = []
-        row = {"cus_per_icache": sharers}
-        for app in apps:
-            baseline = run_app(app, base_cfg, scale)
-            sim = run_app(app, cfg, scale)
-            speedups.append(baseline.cycles / sim.cycles)
-        row["gmean_speedup"] = gmean_speedup(speedups)
-        result.rows.append(row)
+        speedup = cells.gmean((sharers, "icache"), (sharers, "baseline"))
+        result.rows.append({"cus_per_icache": sharers, "gmean_speedup": speedup})
     return result
 
 
 def run_fig16b(
     scale: Optional[float] = None, apps: Optional[List[str]] = None
 ) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    if apps is None:
-        apps = app_names()
+    cells, report = grid_16b(apps).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 16b",
         title="Extra translation wire latency sensitivity (IC+LDS)",
@@ -136,40 +115,23 @@ def run_fig16b(
             "Paper: even +100 cycles on both structures retains +9.4% "
             "gmean — latency hiding across wavefronts absorbs the wires."
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_16b(scale, apps), keep_going=True)
-
-    def sweep(label: str, icache_extra: int, lds_extra: int) -> None:
-        cfg = table1_config(TxScheme.ICACHE_LDS).with_extra_wire_latency(
-            icache_extra, lds_extra
-        )
-        speedups = []
-        for app in apps:
-            baseline = run_app(app, table1_config(), scale)
-            sim = run_app(app, cfg, scale)
-            speedups.append(baseline.cycles / sim.cycles)
+    for label in cells.arms:
+        config = cells.grid.arms[label]
         result.rows.append(
             {
                 "arm": label,
-                "icache_extra": icache_extra,
-                "lds_extra": lds_extra,
-                "gmean_speedup": gmean_speedup(speedups),
+                "icache_extra": config.icache_tx.extra_wire_latency,
+                "lds_extra": config.lds_tx.extra_wire_latency,
+                "gmean_speedup": cells.gmean(label),
             }
         )
-
-    sweep("no_extra", 0, 0)
-    for extra in WIRE_LATENCIES:
-        sweep(f"ic_only_{extra}", extra, 0)
-    for extra in WIRE_LATENCIES:
-        sweep(f"lds_only_{extra}", 0, extra)
-    for extra in WIRE_LATENCIES:
-        sweep(f"ic_lds_{extra}", extra, extra)
     return result
 
 
 def run_fig16c(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = grid_16c().sweep(scale)
     result = ExperimentResult(
         experiment_id="Figure 16c",
         title="DUCATI comparison",
@@ -177,25 +139,8 @@ def run_fig16c(scale: Optional[float] = None) -> ExperimentResult:
             "Paper gmeans: DUCATI +4.9%; IC+LDS +30.1%; DUCATI with IC+LDS "
             "+40.7% — the proposals compose."
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs_16c(scale), keep_going=True)
-    arms = {
-        "ducati": TxScheme.DUCATI,
-        "icache_lds": TxScheme.ICACHE_LDS,
-        "ducati_icache_lds": TxScheme.DUCATI_ICACHE_LDS,
-    }
-    speedups = {label: [] for label in arms}
-    for app in app_names():
-        baseline = run_app(app, table1_config(), scale)
-        row = {"app": app}
-        for label, scheme in arms.items():
-            sim = run_app(app, table1_config(scheme), scale)
-            speedup = baseline.cycles / sim.cycles
-            row[label] = speedup
-            speedups[label].append(speedup)
-        result.rows.append(row)
-    result.rows.append(
-        {"app": "GMEAN"}
-        | {label: gmean_speedup(values) for label, values in speedups.items()}
-    )
+    result.rows = cells.speedup_rows()
+    result.rows.append(gmean_row(result.rows, cells.arms, app="GMEAN"))
     return result

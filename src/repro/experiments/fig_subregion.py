@@ -16,33 +16,27 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.experiments.common import (
-    DEFAULT_SCALE,
-    ExperimentResult,
-    gmean_speedup,
-    run_app,
-)
+from repro.experiments.common import ExperimentResult, Grid, gmean_row
 from repro.schemes import config_for, schemes_for_tag
-from repro.sim.runner import SweepJob, run_sweep
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import CATEGORIES, app_names
 
 #: Grid arms (includes the baseline column), in registry order.
 GRID_SPECS = tuple(schemes_for_tag("subregion-grid"))
 
 
+def grid() -> Grid:
+    return Grid(app_names(), {spec.name: config_for(spec.name) for spec in GRID_SPECS})
+
+
 def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
     """The subregion-coalescing comparison grid."""
 
-    if scale is None:
-        scale = DEFAULT_SCALE
-    configs = [config_for(spec.name) for spec in GRID_SPECS]
-    return [SweepJob(app, config, scale) for app in app_names() for config in configs]
+    return grid().jobs(scale)
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
-    run_sweep(sweep_jobs(scale), keep_going=True)
+    cells, report = grid().sweep(scale)
     result = ExperimentResult(
         experiment_id="Subregion coalescing",
         title="Subregion-contiguity coalesced L2-TLB entries vs victim caches",
@@ -52,28 +46,22 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
             "allocator lays pages out at a uniform stride; IC+LDS shown for "
             "context against the paper's best victim-cache arm."
         ),
+        sweep_report=report,
     )
-    arms = [spec for spec in GRID_SPECS if spec.name != "baseline"]
-    speedups = {spec.name: [] for spec in arms}
-    for app in app_names():
-        baseline = run_app(app, config_for("baseline"), scale)
+    for app in cells.grid.apps:
         row = {
             "app": app,
             "category": CATEGORIES[app],
-            "baseline_ptw_pki": baseline.ptw_pki,
+            "baseline_ptw_pki": cells(app, "baseline").ptw_pki,
         }
-        for spec in arms:
-            sim = run_app(app, config_for(spec.name), scale)
-            speedup = baseline.cycles / sim.cycles
-            row[f"{spec.name}_ptw_pki"] = sim.ptw_pki
-            row[f"{spec.name}_speedup"] = speedup
-            speedups[spec.name].append(speedup)
+        for name in cells.arms:
+            row[f"{name}_ptw_pki"] = cells(app, name).ptw_pki
+            row[f"{name}_speedup"] = cells.speedup(app, name)
         result.rows.append(row)
+    speedups = [f"{name}_speedup" for name in cells.arms]
     result.rows.append(
-        {"app": "GMEAN", "category": "all", "baseline_ptw_pki": ""}
-        | {
-            f"{name}_speedup": gmean_speedup(values)
-            for name, values in speedups.items()
-        }
+        gmean_row(
+            result.rows, speedups, app="GMEAN", category="all", baseline_ptw_pki=""
+        )
     )
     return result

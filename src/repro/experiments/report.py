@@ -97,19 +97,19 @@ Known divergences (see DESIGN.md for rationale):
 
 
 def _render_failures(failures) -> str:
-    """A markdown section for jobs that failed terminally during warming.
+    """A markdown section for jobs the harness sweeps failed terminally.
 
     Harness rows are still complete when this section is non-empty: a
-    warming failure only means the affected cells were re-simulated
-    in-process during row assembly (see docs/MODEL.md §6), which hides
-    transient faults but costs the parallel speedup for those cells.
+    failed job only means the affected cells were re-simulated in-process
+    during row assembly (see docs/MODEL.md §6), which hides transient
+    faults but costs the parallel speedup for those cells.
     """
 
     lines = [
         "## Sweep warm-up failures",
         "",
-        f"{len(failures)} sweep job(s) failed terminally while warming the "
-        "caches; the affected cells were re-simulated in-process during row "
+        f"{len(failures)} sweep job(s) failed terminally in the harness "
+        "sweeps; the affected cells were re-simulated in-process during row "
         "assembly.",
         "",
     ]
@@ -119,12 +119,12 @@ def _render_failures(failures) -> str:
 
 
 def _render_telemetry(reports) -> str:
-    """A markdown section summarizing the cache-warming sweeps.
+    """A markdown section summarizing the harness sweeps.
 
-    Aggregates every :class:`repro.sim.runner.SweepReport` the harnesses
-    produced while warming their grids: job/cache-hit totals, the slowest
-    simulated cells (with attempts and worker pid), and — when
-    ``REPRO_PROFILE`` was set — the cross-worker cProfile hotspots.
+    Aggregates the :class:`repro.sim.runner.SweepReport` each experiment
+    result carries: job/cache-hit totals, the slowest simulated cells
+    (with attempts and worker pid), and — when ``REPRO_PROFILE`` was set —
+    the cross-worker cProfile hotspots.
     """
 
     from repro.sim.runner import merge_hotspots
@@ -137,7 +137,7 @@ def _render_telemetry(reports) -> str:
     lines = [
         "## Sweep warm-up telemetry",
         "",
-        f"{len(reports)} sweep(s) warmed the caches: {total_jobs} job(s) "
+        f"{len(reports)} harness sweep(s): {total_jobs} job(s) "
         f"submitted, {cache_hits} cache hit(s), {simulated} simulated, "
         f"{retries} retr{'y' if retries == 1 else 'ies'}, "
         f"{wall:.2f}s total sweep wall clock.",
@@ -168,13 +168,10 @@ def _render_telemetry(reports) -> str:
 
 def generate(scale: Optional[float] = None) -> str:
     from repro.experiments.validation import render_checklist, validate
-    from repro.sim.runner import drain_failures, drain_reports
 
     sections = [_HEADER.format(scale=scale if scale is not None else common.DEFAULT_SCALE)]
     results = []
     tables = []
-    drain_failures()  # start from clean process-wide failure and
-    drain_reports()   # telemetry logs
     for name, runner in ALL_EXPERIMENTS:
         started = time.time()
         result = runner(scale)
@@ -183,10 +180,10 @@ def generate(scale: Optional[float] = None) -> str:
         tables.append(result.format_table())
         tables.append(f"_(generated in {elapsed:.1f}s)_")
     sections.append(render_checklist(validate(results)))
-    failures = drain_failures()
+    reports = [r.sweep_report for r in results if r.sweep_report is not None]
+    failures = [failure for report in reports for failure in report.failures]
     if failures:
         sections.append(_render_failures(failures))
-    reports = drain_reports()
     if reports:
         sections.append(_render_telemetry(reports))
     sections.extend(tables)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import table1_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, run_app
-from repro.sim.runner import SweepJob, run_sweep
+from repro.experiments.common import ExperimentResult, Grid
+from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names, make_app
 
 #: The paper's Table 2 values: (kernels, b2b, l1_hr, l2_hr, ptw_pki, cat).
@@ -39,17 +39,18 @@ def categorize(ptw_pki: float) -> str:
     return "L"
 
 
-def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
-    """The Table 2 job grid: every app under the baseline configuration."""
+def grid() -> Grid:
+    """The Table 2 grid: every app under the baseline configuration."""
 
-    if scale is None:
-        scale = DEFAULT_SCALE
-    return [SweepJob(app, table1_config(), scale) for app in app_names()]
+    return Grid(app_names(), {"baseline": table1_config()})
+
+
+def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:
+    return grid().jobs(scale)
 
 
 def run(scale: Optional[float] = None) -> ExperimentResult:
-    if scale is None:
-        scale = DEFAULT_SCALE
+    cells, report = grid().sweep(scale)
     result = ExperimentResult(
         experiment_id="Table 2",
         title="Benchmark characterization (baseline)",
@@ -60,11 +61,11 @@ def run(scale: Optional[float] = None) -> ExperimentResult:
                 for name, values in PAPER_TABLE2.items()
             )
         ),
+        sweep_report=report,
     )
-    run_sweep(sweep_jobs(scale), keep_going=True)
-    for name in app_names():
-        app = make_app(name, scale=scale)
-        sim = run_app(name, table1_config(), scale)
+    for name in cells.grid.apps:
+        app = make_app(name, scale=cells.scale)
+        sim = cells(name, "baseline")
         paper = PAPER_TABLE2[name]
         result.rows.append(
             {

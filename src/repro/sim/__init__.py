@@ -11,10 +11,7 @@ from repro.sim.runner import (
     SweepReport,
     SweepRunner,
     WorkerOutcome,
-    drain_failures,
-    drain_reports,
     parse_fault_spec,
-    run_sweep,
 )
 from repro.sim.stats import BoxStats, Distribution, PortIdleTracker, Stats
 from repro.sim.trace import (
@@ -45,12 +42,9 @@ __all__ = [
     "TraceEvent",
     "WaveScheduler",
     "WorkerOutcome",
-    "drain_failures",
-    "drain_reports",
     "geomean",
     "merge_hotspots",
     "parse_fault_spec",
     "speedup",
-    "run_sweep",
     "write_chrome_trace",
 ]

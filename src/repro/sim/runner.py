@@ -54,10 +54,11 @@ Caches: the runner resolves one store per run from
 :func:`repro.experiments.common.default_store` (``REPRO_CACHE_DIR`` /
 ``--cache-dir``) and hands it to every attempt; attempts read and write
 that store but never a process memo, and only the runner's own process
-memoizes finished results. Experiment harnesses can therefore enumerate
-their grid, push it through the runner, and then assemble rows with
-ordinary :func:`repro.experiments.common.run_app` calls that all hit the
-cache.
+memoizes finished results. Experiment harnesses declare their grid once
+(:class:`repro.experiments.common.Grid`), run it through the runner, and
+assemble rows from the returned results. Each :class:`SweepReport` goes
+to its caller and is held nowhere else but :attr:`SweepRunner.last_report`,
+so a long-lived process keeps no report it has dropped.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -374,43 +374,6 @@ def telemetry_rows_from_json(payload: Dict) -> List[Dict]:
             }
         )
     return rows
-
-
-#: Guards the process-wide telemetry accumulators below. Concurrent
-#: sweeps (the service runs them from executor threads while request
-#: handlers drain) must never interleave a drain with an append — a
-#: drain must observe and clear an atomic snapshot.
-_TELEMETRY_LOCK = threading.Lock()
-
-#: Process-wide log of terminal failures across all sweeps, so callers
-#: that drive many sweeps (the report module) can surface one combined
-#: failure summary. Drained by :func:`drain_failures`.
-_FAILURE_LOG: List[JobFailure] = []
-
-
-def drain_failures() -> List[JobFailure]:
-    """Return and clear the process-wide terminal-failure log."""
-
-    with _TELEMETRY_LOCK:
-        drained = list(_FAILURE_LOG)
-        _FAILURE_LOG.clear()
-    return drained
-
-
-#: Process-wide log of completed sweep reports, mirroring the failure
-#: log: callers that drive many sweeps (the report module's warm-up)
-#: surface one combined telemetry summary. Drained by
-#: :func:`drain_reports`.
-_REPORT_LOG: List[SweepReport] = []
-
-
-def drain_reports() -> List[SweepReport]:
-    """Return and clear the process-wide sweep-report log."""
-
-    with _TELEMETRY_LOCK:
-        drained = list(_REPORT_LOG)
-        _REPORT_LOG.clear()
-    return drained
 
 
 def _env_float(name: str) -> Optional[float]:
@@ -819,8 +782,6 @@ class SweepRunner:
                     self._hotspot_groups, profile_top() or DEFAULT_PROFILE_TOP
                 )
             self.last_report = report
-            with _TELEMETRY_LOCK:
-                _REPORT_LOG.append(report)
             self._log(report.summary())
         return [resolved[key] for key in keys], report
 
@@ -918,8 +879,6 @@ class SweepRunner:
                 disposition=disposition,
             )
             report.failures.append(failure)
-            with _TELEMETRY_LOCK:
-                _FAILURE_LOG.append(failure)
             resolved[entry.key] = None
             self._log(f"[sweep] FAILED {failure.describe()}")
             if not self.keep_going:
@@ -1061,30 +1020,3 @@ class SweepRunner:
             # that context again.
             executor.close(dirty=bool(in_flight))
 
-
-def run_sweep(
-    jobs: Sequence[JobLike],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    *,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    keep_going: Optional[bool] = None,
-    fault: Optional[Callable[[SweepJob, int], None]] = None,
-) -> List[Optional[SimResult]]:
-    """Convenience wrapper: one-shot :class:`SweepRunner` execution.
-
-    Experiment harnesses call this to warm the caches for an enumerated
-    grid before assembling their rows; fault-tolerance knobs default to
-    the ``REPRO_TIMEOUT`` / ``REPRO_MAX_RETRIES`` / ``REPRO_KEEP_GOING``
-    environment variables.
-    """
-
-    return SweepRunner(
-        jobs=workers,
-        progress=progress,
-        timeout=timeout,
-        max_retries=max_retries,
-        keep_going=keep_going,
-        fault=fault,
-    ).run(jobs)

@@ -7,6 +7,7 @@ import pytest
 from repro.config import table1_config
 from repro.experiments import common
 from repro.experiments.report import ALL_EXPERIMENTS
+from repro.sim.results import SimResult
 
 
 class TestDiskCache:
@@ -82,6 +83,48 @@ class TestCacheKeyNormalization:
         common.clear_cache()
 
 
+class TestGridCells:
+    """One path per cell: the grid's sweep results, a gap re-simulated."""
+
+    def test_cell_outside_the_grid_raises(self):
+        grid = common.Grid(["SRAD"], {"baseline": table1_config()})
+        sim = SimResult(app_name="SRAD", scheme="baseline", cycles=7)
+        cells = common.Cells(grid, 0.05, [sim])
+        assert cells("SRAD", "baseline") is sim
+        with pytest.raises(KeyError, match="outside the grid"):
+            cells("SRAD", "lds")
+        with pytest.raises(KeyError, match="outside the grid"):
+            cells("GUPS", "baseline")
+
+    def test_failed_job_is_resimulated_in_process(self, monkeypatch):
+        """A job the sweep failed terminally leaves a gap in the results;
+        looking the cell up re-simulates it outside the runner (where the
+        fault hook does not fire) and the report names the failure."""
+
+        calls = []
+
+        def fake_simulate(app_name, config, scale, store):
+            calls.append(app_name)
+            return SimResult(app_name=app_name, scheme=config.scheme.value, cycles=9)
+
+        monkeypatch.setattr(common, "simulate", fake_simulate)
+        monkeypatch.setattr(common, "_CACHE_DIR", "")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "SRAD:*:exc")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        common.clear_cache()
+        try:
+            grid = common.Grid(["SRAD", "GUPS"], {"baseline": table1_config()})
+            cells, report = grid.sweep(0.05)
+            assert [f.app_name for f in report.failures] == ["SRAD"]
+            assert calls == ["GUPS"]
+            assert cells("SRAD", "baseline").cycles == 9
+            assert cells("SRAD", "baseline") is cells("SRAD", "baseline")
+            assert calls == ["GUPS", "SRAD"]
+        finally:
+            common.clear_cache()
+
+
 class TestConfigSignature:
     def test_signature_distinguishes_configs(self):
         a = common._config_signature(table1_config())
@@ -108,3 +151,40 @@ class TestReportRegistry:
     def test_runners_are_callable(self):
         for _, runner in ALL_EXPERIMENTS:
             assert callable(runner)
+
+
+class TestReportSections:
+    def test_failures_and_telemetry_come_from_the_results(self, monkeypatch):
+        """``generate`` renders its failure and telemetry sections from the
+        reports the experiment results carry, and only from those."""
+
+        from repro.experiments import report as report_module
+        from repro.sim.runner import JobFailure, SweepReport
+
+        failure = JobFailure(
+            key="k", app_name="ATAX", scheme="lds", attempts=3, error="boom",
+            disposition="crash",
+        )
+        reports = [
+            SweepReport(jobs_submitted=3, cache_hits=1, jobs_simulated=2,
+                        failures=[failure]),
+            SweepReport(jobs_submitted=2, cache_hits=2),
+            None,
+        ]
+
+        def harness(report):
+            return lambda scale: common.ExperimentResult(
+                "Fake", "t", rows=[{"a": 1}], sweep_report=report
+            )
+
+        monkeypatch.setattr(
+            report_module, "ALL_EXPERIMENTS",
+            [(str(index), harness(report)) for index, report in enumerate(reports)],
+        )
+        text = report_module.generate(0.02)
+        assert "1 sweep job(s) failed terminally" in text
+        assert "- ATAX lds failed after 3 attempt(s) [crash]: boom" in text
+        assert (
+            "2 harness sweep(s): 5 job(s) submitted, 3 cache hit(s), 2 simulated"
+            in text
+        )

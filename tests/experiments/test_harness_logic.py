@@ -1,6 +1,7 @@
-"""CPU-free tests of harness aggregation logic via a stubbed runner.
+"""CPU-free tests of harness aggregation logic via a stubbed simulator.
 
-These patch ``repro.experiments.common.run_app`` with a synthetic-results
+These patch :func:`repro.experiments.common.simulate` — the call every
+harness cell reaches through its grid's sweep — with a synthetic-results
 factory, so the arithmetic each figure harness performs (normalization,
 gmeans, category splits) is verified exactly and instantly.
 """
@@ -10,13 +11,15 @@ from typing import Dict, Tuple
 import pytest
 
 import repro.experiments.common as common
-from repro.config import SystemConfig, TxScheme
+from repro.config import TxScheme
 from repro.experiments import (
     export,
     fig13_main,
     fig14_sharing_walks_pagesize,
     fig15_entries,
+    fig16_sensitivity,
 )
+from repro.schemes import register_plugin, unregister
 from repro.sim.results import SimResult
 from repro.workloads.registry import app_names
 
@@ -33,9 +36,7 @@ class StubRunner:
         self.cycles[key] = cycles
         self.counters[key] = counters
 
-    def __call__(self, app_name, config=None, scale=None, use_cache=True):
-        if config is None:
-            config = common.table1_config()
+    def __call__(self, app_name, config, scale, store=None):
         key = (app_name, config.scheme, config.page_size)
         if key not in self.cycles:
             # Default: baseline-equal behaviour.
@@ -53,14 +54,14 @@ def stub(monkeypatch):
     runner = StubRunner()
     for app in app_names():
         runner.set(app, TxScheme.BASELINE, 1000, **{"iommu.walks": 100.0})
-    for module in (fig13_main, fig14_sharing_walks_pagesize, fig15_entries):
-        monkeypatch.setattr(module, "run_app", runner)
-        # The harnesses prefetch their grid through the sweep runner before
-        # assembling rows; with run_app stubbed that would launch real
-        # simulations, so neutralize it too.
-        if hasattr(module, "run_sweep"):
-            monkeypatch.setattr(module, "run_sweep", lambda jobs, **kwargs: [])
-    return runner
+    # Serial in-process sweeps, no disk store, and a memo that starts and
+    # ends empty: every cell comes from this test's stub.
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    monkeypatch.setattr(common, "_CACHE_DIR", "")
+    monkeypatch.setattr(common, "simulate", runner)
+    common.clear_cache()
+    yield runner
+    common.clear_cache()
 
 
 class TestFig13bAggregation:
@@ -122,6 +123,36 @@ class TestFig15Aggregation:
         row = result.rows[0]
         assert row["total_entries"] == 8192
         assert row["pct_of_max"] == pytest.approx(50.0)
+
+
+class TestFig16cArms:
+    def test_tagged_plugin_scheme_gets_a_column(self, synthetic, monkeypatch):
+        """Rows come from the same arms as the sweep: a scheme registered
+        under ``fig16-ducati`` adds a column, and the builtin columns keep
+        their names (``validate_fig16c`` reads them) and values."""
+
+        builtin = fig16_sensitivity.run_fig16c(0.02)
+        assert builtin.columns == ["app", "ducati", "icache_lds", "ducati_icache_lds"]
+        register_plugin(
+            "fig16c-probe", "test-only fig16c arm", uses_ducati=True,
+            tags=("fig16-ducati",),
+        )
+        try:
+            monkeypatch.setattr(
+                fig16_sensitivity, "_FIG16C_SCHEMES",
+                fig16_sensitivity._fig16c_schemes(),
+            )
+            swept = {
+                job.config.scheme.value
+                for job in fig16_sensitivity.sweep_jobs_16c(0.02)
+            }
+            extended = fig16_sensitivity.run_fig16c(0.02)
+        finally:
+            unregister("fig16c-probe")
+        assert "fig16c-probe" in swept
+        assert extended.columns == builtin.columns + ["fig16c-probe"]
+        for row, builtin_row in zip(extended.rows, builtin.rows):
+            assert {name: row[name] for name in builtin.columns} == builtin_row
 
 
 class TestExport:

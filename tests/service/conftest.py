@@ -1,23 +1,18 @@
-"""Shared service-test fixtures: isolated caches, drained accumulators."""
+"""Shared service-test fixtures: isolated caches."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments import common
-from repro.sim.runner import drain_failures, drain_reports
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
     """Every service test gets its own disk cache and a clean in-process
-    cache, and leaves no telemetry behind for other tests."""
+    cache."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", str(tmp_path / "cache"))
     common.clear_cache()
-    drain_failures()
-    drain_reports()
     yield
     common.clear_cache()
-    drain_failures()
-    drain_reports()

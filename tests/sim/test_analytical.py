@@ -31,7 +31,6 @@ from repro.sim.analytical import (
     estimate_app,
     estimate_speedups,
 )
-from repro.sim.runner import drain_failures
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
@@ -50,10 +49,8 @@ MAPE_BOUND = 0.05
 def _memory_only_cache(monkeypatch):
     monkeypatch.setattr(common, "_CACHE_DIR", "")
     common.clear_cache()
-    drain_failures()
     yield
     common.clear_cache()
-    drain_failures()
 
 
 def _simulate(app_name, config, scale=SCALE):

@@ -32,7 +32,7 @@ from repro.experiments import common
 from repro.experiments.common import result_fingerprint, serialize_result
 from repro.experiments.fig13_main import sweep_jobs as fig13_sweep_jobs
 from repro.sim.engine import Port
-from repro.sim.runner import SweepJob, SweepRunner, drain_failures
+from repro.sim.runner import SweepJob, SweepRunner
 from repro.sim.stats import PortIdleTracker
 from repro.sim.trace import TimelineSampler
 from repro.system import GPUSystem
@@ -59,10 +59,8 @@ def _memory_only_cache(monkeypatch):
     ):
         monkeypatch.delenv(name, raising=False)
     common.clear_cache()
-    drain_failures()
     yield
     common.clear_cache()
-    drain_failures()
 
 
 def run_app(app_name: str, config: SystemConfig, system: Optional[GPUSystem] = None):

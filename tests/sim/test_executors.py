@@ -48,7 +48,6 @@ from repro.sim.executors.remote import (
 from repro.sim.runner import (
     SweepJob,
     SweepRunner,
-    drain_failures,
     parse_fault_spec,
 )
 from repro.sim.store import ResultStore
@@ -60,7 +59,7 @@ BACKENDS = ("serial", "pool", "remote")
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Memory-only cache, no inherited executor/fault env, clean logs."""
+    """Memory-only cache, no inherited executor/fault env."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
     for name in (
@@ -72,10 +71,8 @@ def _isolated(monkeypatch):
     ):
         monkeypatch.delenv(name, raising=False)
     common.clear_cache()
-    drain_failures()
     yield
     common.clear_cache()
-    drain_failures()
 
 
 def grid(apps=APPS, scale=SCALE):
@@ -164,7 +161,6 @@ class TestCrossBackendFaults:
         observed = {}
         for backend in BACKENDS:
             common.clear_cache()
-            drain_failures()
             with backend_executor(backend) as executor:
                 runner = SweepRunner(
                     jobs=2,
@@ -202,7 +198,6 @@ class TestCrossBackendFaults:
         observed = {}
         for backend in ("pool", "remote"):
             common.clear_cache()
-            drain_failures()
             with backend_executor(backend) as executor:
                 runner = SweepRunner(
                     jobs=2,

@@ -1,7 +1,6 @@
-"""SweepReport JSON round-trips and telemetry-accumulator thread safety."""
+"""SweepReport JSON round-trips."""
 
 import json
-import threading
 
 import pytest
 
@@ -11,11 +10,6 @@ from repro.sim.runner import (
     JobFailure,
     JobTiming,
     SweepReport,
-    _FAILURE_LOG,
-    _REPORT_LOG,
-    _TELEMETRY_LOCK,
-    drain_failures,
-    drain_reports,
     telemetry_rows_from_json,
 )
 
@@ -99,50 +93,3 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="malformed"):
             SweepReport.from_json(payload)
 
-
-class TestDrainThreadSafety:
-    def test_concurrent_appends_and_drains_conserve_records(self):
-        """Writers append under the telemetry lock while drainers snatch
-        snapshots; every record must surface exactly once."""
-
-        writers, per_writer = 8, 200
-        # Earlier tests in the session may have left undrained records in
-        # the process-wide logs; start from a clean slate so the counts
-        # below are exact.
-        drain_failures()
-        drain_reports()
-        drained_failures = []
-        drained_reports = []
-        stop = threading.Event()
-
-        def writer():
-            for index in range(per_writer):
-                failure = JobFailure(key=f"k{index}", app_name="GUPS",
-                                     scheme="baseline", attempts=1,
-                                     error="x", disposition="exception")
-                with _TELEMETRY_LOCK:
-                    _FAILURE_LOG.append(failure)
-                    _REPORT_LOG.append(SweepReport(jobs_submitted=1))
-
-        def drainer():
-            while not stop.is_set():
-                drained_failures.extend(drain_failures())
-                drained_reports.extend(drain_reports())
-
-        drain_threads = [threading.Thread(target=drainer) for _ in range(2)]
-        write_threads = [threading.Thread(target=writer) for _ in range(writers)]
-        for thread in drain_threads + write_threads:
-            thread.start()
-        for thread in write_threads:
-            thread.join(timeout=60)
-        stop.set()
-        for thread in drain_threads:
-            thread.join(timeout=60)
-        drained_failures.extend(drain_failures())
-        drained_reports.extend(drain_reports())
-
-        assert len(drained_failures) == writers * per_writer
-        assert len(drained_reports) == writers * per_writer
-        # And the logs are empty: nothing duplicated, nothing left behind.
-        assert drain_failures() == []
-        assert drain_reports() == []

@@ -22,7 +22,6 @@ from repro.sim.runner import (
     SweepRunner,
     default_workers,
     run_attempt,
-    run_sweep,
 )
 from repro.sim.stats import _percentile as stats_percentile
 from repro.sim.store import ResultStore
@@ -128,7 +127,7 @@ class TestOrderingAndDedup:
         assert report.jobs_simulated == 0
 
     def test_tuple_jobs_and_defaults_accepted(self):
-        results = run_sweep([("SRAD", None, SCALE)], workers=1)
+        results = SweepRunner(jobs=1).run([("SRAD", None, SCALE)])
         assert results[0].app_name == "SRAD"
         assert results[0].scheme == "baseline"
 

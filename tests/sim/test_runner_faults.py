@@ -25,7 +25,6 @@ from repro.sim.runner import (
     SweepAbort,
     SweepJob,
     SweepRunner,
-    drain_failures,
     parse_fault_spec,
 )
 
@@ -35,7 +34,7 @@ APPS = ("ATAX", "SRAD", "GUPS")
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Memory-only cache, no inherited fault/retry env, clean failure log."""
+    """Memory-only cache, no inherited fault/retry env."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
     for name in (
@@ -46,10 +45,8 @@ def _isolated(monkeypatch):
     ):
         monkeypatch.delenv(name, raising=False)
     common.clear_cache()
-    drain_failures()
     yield
     common.clear_cache()
-    drain_failures()
 
 
 def grid(apps=APPS, scheme=TxScheme.BASELINE, scale=SCALE):
@@ -176,6 +173,10 @@ class TestRetries:
         assert "ATAX" in str(excinfo.value)
 
     def test_failure_log_drained_for_report_module(self):
+        """The report module reads terminal failures off each sweep's own
+        report (carried on ``ExperimentResult.sweep_report``): every run's
+        report lists exactly that run's failures, none from earlier runs."""
+
         runner = SweepRunner(
             jobs=1,
             fault=fail_atax_always,
@@ -183,10 +184,9 @@ class TestRetries:
             retry_backoff_s=0,
             keep_going=True,
         )
-        runner.run(grid())
-        drained = drain_failures()
-        assert [f.app_name for f in drained] == ["ATAX"]
-        assert drain_failures() == []  # drained exactly once
+        for _ in range(2):
+            _, report = runner.run_with_report(grid())
+            assert [f.app_name for f in report.failures] == ["ATAX"]
 
 
 class TestCrashRecovery:

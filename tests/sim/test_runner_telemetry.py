@@ -1,6 +1,8 @@
 """Tests for the sweep runner's per-job telemetry and opt-in profiling."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.sim.profiling import (
     merge_hotspots,
     profile_top,
 )
-from repro.sim.runner import SweepJob, SweepRunner, drain_reports
+from repro.sim.runner import SweepJob, SweepRunner
 
 SCALE = 0.05
 
@@ -24,10 +26,8 @@ def _memory_only_cache(monkeypatch):
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
     common.clear_cache()
-    drain_reports()
     yield
     common.clear_cache()
-    drain_reports()
 
 
 def tiny_jobs(count=2):
@@ -82,12 +82,18 @@ class TestJobTelemetry:
         _, warm = SweepRunner(jobs=1).run_with_report(jobs)
         assert warm.slowest_jobs() == []
 
-    def test_drain_reports_collects_and_clears(self):
-        SweepRunner(jobs=1).run(tiny_jobs(1))
-        SweepRunner(jobs=1).run(tiny_jobs(1))
-        reports = drain_reports()
-        assert len(reports) == 2
-        assert drain_reports() == []
+    def test_report_is_not_retained_after_the_run(self):
+        """A report belongs to its caller: once the runner and the report
+        are dropped, nothing in the process keeps it (a long-lived
+        service runs a sweep per batch)."""
+
+        runner = SweepRunner(jobs=1)
+        _, report = runner.run_with_report(tiny_jobs(1))
+        assert report.timings
+        ref = weakref.ref(report)
+        del runner, report
+        gc.collect()
+        assert ref() is None
 
     def test_parallel_timings_record_worker_pids(self):
         runner = SweepRunner(jobs=2)
