@@ -3,6 +3,8 @@
 - A process-wide result memo plus the process-default on-disk store
   (:func:`default_store`): many figures share the same baseline runs, and
   pytest-benchmark repeats harness calls.
+- ``cache_key``: one job's identity. Each configuration's signature is
+  derived once per process, in a bounded memo keyed by its ``repr``.
 - ``simulate``: one job against an explicit store, never the memo (the
   body of every sweep attempt); ``run_app``: the memoized call.
 - ``Grid``: one figure's app × arm grid, declared once. Its ``jobs`` are
@@ -52,11 +54,19 @@ CACHE_SCHEMA = "repro-simresult-v2"
 _LOG = logging.getLogger("repro.experiments.cache")
 
 
+#: Entries :func:`_config_signature` keeps. Every ``SWEEP_GRIDS`` grid
+#: together uses 41 distinct configurations, so a report never evicts.
+_SIGNATURE_MEMO_SIZE = 256
+
+#: ``repr(config)`` -> ``(config, signature)``; see :func:`_config_signature`.
+_SIGNATURES: Dict[str, Tuple[SystemConfig, str]] = {}
+
+
 def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _config_signature(config: SystemConfig) -> str:
+def _derive_signature(config: SystemConfig) -> str:
     # Hash the explicit serialized form, not repr(): the signature then
     # only changes when a setting's *value* changes, not when unrelated
     # fields are added to the dataclasses.
@@ -64,6 +74,28 @@ def _config_signature(config: SystemConfig) -> str:
 
     text = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _config_signature(config: SystemConfig) -> str:
+    """The configuration's cache identity, derived once per process.
+
+    Memoized by ``repr(config)``, which is exact where value equality is
+    not: ``512 == 512.0``, ``False == 0`` and ``0.0 == -0.0`` hash alike
+    but serialize differently. An entry holds its config, so a repr that
+    shows an object's address cannot name another object while the entry
+    lives. No lock, since pool workers fork from the service's threads:
+    two threads may derive the same entry, and whichever insert takes the
+    memo past its bound empties it.
+    """
+
+    memo_key = repr(config)
+    entry = _SIGNATURES.get(memo_key)
+    if entry is None:
+        entry = (config, _derive_signature(config))
+        _SIGNATURES[memo_key] = entry
+        if len(_SIGNATURES) > _SIGNATURE_MEMO_SIZE:
+            _SIGNATURES.clear()
+    return entry[1]
 
 
 def _cache_key(app_name: str, config: SystemConfig, scale: float) -> str:

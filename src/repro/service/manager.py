@@ -71,6 +71,8 @@ class JobRecord:
     spec: Dict
     spec_key: str
     jobs: List[SweepJob]
+    #: ``SweepJob.key()`` of each job, derived once at submit.
+    keys: List[str]
     state: str = QUEUED
     created_s: float = field(default_factory=time.time)
     started_s: Optional[float] = None
@@ -81,9 +83,6 @@ class JobRecord:
     results: Optional[List[Optional[SimResult]]] = None
     report: Optional[SweepReport] = None
     events: List[Dict] = field(default_factory=list)
-
-    def keys(self) -> List[str]:
-        return [job.key() for job in self.jobs]
 
 
 class JobManager:
@@ -130,6 +129,8 @@ class JobManager:
         self._records: Dict[str, JobRecord] = {}
         self._by_spec: Dict[str, str] = {}
         self._queue: List[str] = []
+        #: ``id(result)`` -> ``(result, fingerprint)``, under ``_lock``.
+        self._fingerprints: Dict[int, Tuple[SimResult, str]] = {}
         self._stop = False
         self._thread: Optional[threading.Thread] = None
         # Poll often enough to evict a short-idle pool promptly, but
@@ -183,6 +184,7 @@ class JobManager:
         spec = validate_spec(raw_spec)
         key = spec_key(spec)
         jobs = expand_spec(spec)
+        keys = [job.key() for job in jobs]
         with self._cond:
             existing_id = self._by_spec.get(key)
             if existing_id is not None:
@@ -195,6 +197,7 @@ class JobManager:
                 spec=spec,
                 spec_key=key,
                 jobs=jobs,
+                keys=keys,
             )
             self._records[record.job_id] = record
             self._by_spec[key] = record.job_id
@@ -305,7 +308,7 @@ class JobManager:
         202/409).
         """
 
-        from repro.experiments.common import result_fingerprint, serialize_result
+        from repro.experiments.common import serialize_result
 
         with self._lock:
             record = self._records.get(job_id)
@@ -318,10 +321,28 @@ class JobManager:
                     for result in record.results
                 ]
                 payload["fingerprints"] = [
-                    result_fingerprint(result) if result is not None else None
+                    self._fingerprint(result) if result is not None else None
                     for result in record.results
                 ]
             return payload
+
+    def _fingerprint(self, result: SimResult) -> str:
+        """``result``'s fingerprint, computed once per result object.
+
+        Keyed by the object, not its job key, so a served fingerprint is
+        always that of the result served beside it (a job re-simulated
+        after ``clear_cache`` is a new object). The entry holds its
+        result, so no other object can take its id while it lives.
+        """
+
+        # Caller holds self._lock.
+        from repro.experiments.common import result_fingerprint
+
+        entry = self._fingerprints.get(id(result))
+        if entry is None:
+            entry = (result, result_fingerprint(result))
+            self._fingerprints[id(result)] = entry
+        return entry[1]
 
     def events_since(
         self, job_id: str, seq: int
@@ -448,7 +469,7 @@ class JobManager:
         per-job attempt counts, which *are* attributable.
         """
 
-        keys = set(record.keys())
+        keys = set(record.keys)
         timings: List[JobTiming] = [
             timing for timing in batch_report.timings if timing.key in keys
         ]

@@ -1,12 +1,16 @@
 """Tests for experiment infrastructure: caching, serialization, report."""
 
 import os
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.config import table1_config
 from repro.experiments import common
-from repro.experiments.report import ALL_EXPERIMENTS
+from repro.experiments.report import ALL_EXPERIMENTS, SWEEP_GRIDS
+from repro.schemes import config_for, scheme_names
 from repro.sim.results import SimResult
 
 
@@ -135,6 +139,97 @@ class TestConfigSignature:
         assert common._config_signature(table1_config()) == common._config_signature(
             table1_config()
         )
+
+
+def _equal_but_distinct_pairs():
+    """Configs that compare and hash equal but serialize differently, each
+    with its signature pinned from the unmemoized derivation."""
+
+    base = table1_config()
+
+    def refresh(value):
+        energy = replace(base.dram_energy, refresh_nj_per_cycle=value)
+        return replace(base, dram_energy=energy)
+
+    return [
+        ((base.with_l2_tlb_entries(512), "26dedf985b22459e"),
+         (base.with_l2_tlb_entries(512.0), "1166bfecb209df13")),
+        ((replace(base, dedup_shared_fills=False), "26dedf985b22459e"),
+         (replace(base, dedup_shared_fills=0), "c475f402c4d95bb5")),
+        ((refresh(0.0), "0d450c2210f482b5"), (refresh(-0.0), "444e35fa9342cef6")),
+    ]
+
+
+class TestSignatureMemo:
+    """Each configuration's signature is derived once, exactly, within a
+    bound, and safely from many threads."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(common, "_SIGNATURES", {})
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_equal_configs_keep_distinct_signatures(self, reverse):
+        for pair in _equal_but_distinct_pairs():
+            (a, _), (b, _) = pair
+            assert a == b and hash(a) == hash(b)
+            common._SIGNATURES.clear()
+            for config, pinned in reversed(pair) if reverse else pair:
+                assert common._config_signature(config) == pinned
+            for config, pinned in pair:
+                assert common._config_signature(config) == pinned
+
+    def test_every_grid_and_scheme_config_matches_a_fresh_derivation(self):
+        configs = [job.config for grid in SWEEP_GRIDS.values() for job in grid(0.05)]
+        configs += [config_for(name) for name in scheme_names()]
+        for config in configs:
+            assert common._config_signature(config) == common._derive_signature(config)
+        distinct = {repr(config) for config in configs}
+        assert len(common._SIGNATURES) == len(distinct) <= common._SIGNATURE_MEMO_SIZE
+
+    def test_memo_stays_within_its_bound(self):
+        bound = common._SIGNATURE_MEMO_SIZE
+        for entries in range(1, bound + 40):
+            config = table1_config().with_l2_tlb_entries(entries)
+            assert common._config_signature(config) == common._derive_signature(config)
+            assert len(common._SIGNATURES) <= bound
+
+    def test_threads_get_correct_signatures(self, monkeypatch):
+        """More threads than cores, switching often, through a memo small
+        enough to be emptied throughout: every signature is right and no
+        thread raises."""
+
+        monkeypatch.setattr(common, "_SIGNATURE_MEMO_SIZE", 8)
+        configs = [table1_config().with_l2_tlb_entries(64 * n) for n in range(1, 25)]
+        expected = [common._derive_signature(config) for config in configs]
+        threads = 4 * (os.cpu_count() or 1)
+        start = threading.Barrier(threads, timeout=60)
+        wrong, errors = [], []
+
+        def work(offset):
+            try:
+                start.wait()
+                for step in range(3 * len(configs)):
+                    index = (offset + step) % len(configs)
+                    if common._config_signature(configs[index]) != expected[index]:
+                        wrong.append(index)
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert wrong == []
+        assert len(common._SIGNATURES) <= 8
 
 
 class TestReportRegistry:

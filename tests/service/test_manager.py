@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.experiments import common
 from repro.service.jobs import SpecError
 from repro.service.manager import (
     CANCELLED,
@@ -12,6 +13,7 @@ from repro.service.manager import (
     JobManager,
     QUEUED,
 )
+from repro.sim.results import SimResult
 from repro.sim.runner import SweepRunner
 
 SCALE = 0.05
@@ -212,3 +214,81 @@ class TestFailures:
             assert manager.wait(bad.job_id, timeout=180) == FAILED
             assert manager.wait(good.job_id, timeout=180) == DONE
             assert good.report.failures == []
+
+
+class TestFingerprintMemo:
+    """The result endpoint fingerprints each result object once per
+    manager, and always the object it serves."""
+
+    @pytest.fixture
+    def fingerprinted(self, monkeypatch):
+        """A fast stub simulator (each run a new result) and the list of
+        results ``result_fingerprint`` was called on."""
+
+        runs = []
+
+        def fake_simulate(app_name, config, scale, store):
+            runs.append(app_name)
+            return SimResult(app_name=app_name, scheme=config.scheme.value,
+                             cycles=len(runs))
+
+        original = common.result_fingerprint
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return original(result)
+
+        monkeypatch.setattr(common, "simulate", fake_simulate)
+        monkeypatch.setattr(common, "result_fingerprint", counting)
+        monkeypatch.setattr(common, "_CACHE_DIR", "")
+        return calls, original
+
+    def test_shared_job_is_fingerprinted_once(self, fingerprinted):
+        calls, fingerprint = fingerprinted
+        with JobManager(workers=1, autostart=False) as manager:
+            one, _ = manager.submit(tiny_spec("GUPS", "ATAX"))
+            two, _ = manager.submit(tiny_spec("ATAX", "MVT"))
+            manager.start()
+            assert manager.wait(one.job_id, timeout=60) == DONE
+            assert manager.wait(two.job_id, timeout=60) == DONE
+            assert one.results[1] is two.results[0]
+            payloads = [manager.result_payload(record.job_id)
+                        for record in (one, two, one, two)]
+        assert len(calls) == 3 == len({id(r) for r in one.results + two.results})
+        for payload, record in zip(payloads, (one, two, one, two)):
+            assert payload["fingerprints"] == [fingerprint(r) for r in record.results]
+
+    def test_failed_slot_stays_none(self, fingerprinted, monkeypatch):
+        calls, fingerprint = fingerprinted
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "GUPS:*:exc")
+        with JobManager(workers=1, max_retries=0) as manager:
+            record, _ = manager.submit(tiny_spec("GUPS", "SRAD"))
+            assert manager.wait(record.job_id, timeout=60) == FAILED
+            for _ in range(2):
+                payload = manager.result_payload(record.job_id)
+                assert payload["results"][0] is None
+                assert payload["fingerprints"] == [None, fingerprint(record.results[1])]
+        assert calls == [record.results[1]]
+
+    def test_resimulated_result_gets_its_own_fingerprint(self, fingerprinted):
+        """After ``clear_cache`` the same job key is simulated again into a
+        new object (here with other cycles); its record is served that
+        object's fingerprint, not the one memoized for the key before."""
+
+        calls, fingerprint = fingerprinted
+        with JobManager(workers=1) as manager:
+            first, _ = manager.submit(tiny_spec("SRAD"))
+            manager.wait(first.job_id, timeout=60)
+            before = manager.result_payload(first.job_id)["fingerprints"]
+            common.clear_cache()
+            second, _ = manager.submit(tiny_spec("SRAD", max_retries=1))
+            manager.wait(second.job_id, timeout=60)
+            after = manager.result_payload(second.job_id)["fingerprints"]
+            assert manager.result_payload(first.job_id)["fingerprints"] == before
+        assert first.keys == second.keys
+        assert first.results[0] is not second.results[0]
+        assert before == [fingerprint(first.results[0])]
+        assert after == [fingerprint(second.results[0])]
+        assert before != after
+        assert len(calls) == 2
