@@ -31,6 +31,8 @@ A submitted spec becomes a :class:`JobRecord` that moves through
 
 from __future__ import annotations
 
+import copy
+import json
 import threading
 import time
 import uuid
@@ -129,8 +131,8 @@ class JobManager:
         self._records: Dict[str, JobRecord] = {}
         self._by_spec: Dict[str, str] = {}
         self._queue: List[str] = []
-        #: ``id(result)`` -> ``(result, fingerprint)``, under ``_lock``.
-        self._fingerprints: Dict[int, Tuple[SimResult, str]] = {}
+        #: ``id(result)`` -> ``(result, text, fingerprint)``, under ``_lock``.
+        self._encoded: Dict[int, Tuple[SimResult, str, str]] = {}
         self._stop = False
         self._thread: Optional[threading.Thread] = None
         # Poll often enough to evict a short-idle pool promptly, but
@@ -269,9 +271,13 @@ class JobManager:
             record = self._records.get(job_id)
             if record is None:
                 return None
-            return self._status_payload_locked(record)
+            record = copy.copy(record)
+        return self._status_payload(record)
 
-    def _status_payload_locked(self, record: JobRecord) -> Dict:
+    @staticmethod
+    def _status_payload(record: JobRecord) -> Dict:
+        # ``record`` is a snapshot taken under the lock: its report and
+        # results are never mutated once set, so it is read without it.
         payload: Dict = {
             "job_id": record.job_id,
             "state": record.state,
@@ -300,49 +306,67 @@ class JobManager:
                 for record in self._records.values()
             ]
 
-    def result_payload(self, job_id: str) -> Optional[Dict]:
-        """The full result payload (serialized sim results + report).
+    def result_body(self, job_id: str) -> Optional[Tuple[str, bytes]]:
+        """The result endpoint's ``(state, body)``; ``None`` for unknown jobs.
 
-        ``None`` for unknown jobs; for non-terminal or cancelled jobs the
-        payload carries only the state (the HTTP layer maps that to
-        202/409).
+        The body is ``json.dumps(payload, sort_keys=True) + "\\n"`` of the
+        status payload plus, once the job has results, the serialized
+        results and their fingerprints (``null`` at failed slots). Each
+        result's text is spliced in as :meth:`_encode` memoized it; the
+        lock is held only to snapshot the record and read the memo.
         """
-
-        from repro.experiments.common import serialize_result
 
         with self._lock:
             record = self._records.get(job_id)
             if record is None:
                 return None
-            payload = self._status_payload_locked(record)
-            if record.results is not None:
-                payload["results"] = [
-                    serialize_result(result) if result is not None else None
-                    for result in record.results
-                ]
-                payload["fingerprints"] = [
-                    self._fingerprint(result) if result is not None else None
-                    for result in record.results
-                ]
-            return payload
+            record = copy.copy(record)
+            slots = None if record.results is None else [
+                self._encode(result) if result is not None else ("null", None)
+                for result in record.results
+            ]
+        payload = self._status_payload(record)
+        items = []
+        if slots is not None:
+            payload["fingerprints"] = [fingerprint for _, fingerprint in slots]
+            items.append(("results", "[" + ", ".join(text for text, _ in slots) + "]"))
+        # What json.dumps(sort_keys=True) writes for the whole payload:
+        # each top-level value encoded, in key order, default separators.
+        items += [(key, json.dumps(value, sort_keys=True))
+                  for key, value in payload.items()]
+        items.sort()
+        body = "{" + ", ".join(
+            f"{json.dumps(key)}: {text}" for key, text in items
+        ) + "}\n"
+        return record.state, body.encode()
 
-    def _fingerprint(self, result: SimResult) -> str:
-        """``result``'s fingerprint, computed once per result object.
+    def result_payload(self, job_id: str) -> Optional[Dict]:
+        """:meth:`result_body` decoded; ``None`` for unknown jobs."""
 
-        Keyed by the object, not its job key, so a served fingerprint is
-        always that of the result served beside it (a job re-simulated
-        after ``clear_cache`` is a new object). The entry holds its
-        result, so no other object can take its id while it lives.
+        found = self.result_body(job_id)
+        return None if found is None else json.loads(found[1])
+
+    def _encode(self, result: SimResult) -> Tuple[str, str]:
+        """``result``'s JSON text
+        (``json.dumps(serialize_result(result), sort_keys=True)``) and its
+        fingerprint, computed once per result object.
+
+        Keyed by the object, not its job key, so the text and fingerprint
+        served for a slot are always those of the result in it (a job
+        re-simulated after ``clear_cache`` is a new object). The entry
+        holds its result, so no other object can take its id while it
+        lives.
         """
 
         # Caller holds self._lock.
-        from repro.experiments.common import result_fingerprint
+        from repro.experiments import common
 
-        entry = self._fingerprints.get(id(result))
+        entry = self._encoded.get(id(result))
         if entry is None:
-            entry = (result, result_fingerprint(result))
-            self._fingerprints[id(result)] = entry
-        return entry[1]
+            text = json.dumps(common.serialize_result(result), sort_keys=True)
+            entry = (result, text, common.result_fingerprint(result))
+            self._encoded[id(result)] = entry
+        return entry[1], entry[2]
 
     def events_since(
         self, job_id: str, seq: int

@@ -1,11 +1,19 @@
 """End-to-end HTTP API tests: BackgroundServer + ServiceClient."""
 
 import json
+import socket
+import time
+import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.experiments.common import CACHE_SCHEMA, result_fingerprint
+from repro.experiments.common import (
+    CACHE_SCHEMA,
+    result_fingerprint,
+    serialize_result,
+)
+from repro.service import http as service_http
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import BackgroundServer
 from repro.service.jobs import expand_spec, validate_spec
@@ -35,6 +43,42 @@ def idle():
 def _raw(url):
     with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.status, json.loads(resp.read())
+
+
+def _raw_body(url):
+    """``(status, body bytes)`` of a GET, error statuses included."""
+    try:
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
+def _reference_body(record):
+    """The result body encoded whole: the record's status fields, plus
+    each slot's serialized result and fingerprint once it has results."""
+    payload = {
+        "job_id": record.job_id,
+        "state": record.state,
+        "spec": record.spec,
+        "jobs": len(record.jobs),
+        "submissions": record.submissions,
+        "created_s": record.created_s,
+        "started_s": record.started_s,
+        "finished_s": record.finished_s,
+    }
+    if record.error is not None:
+        payload["error"] = record.error
+    if record.report is not None:
+        payload["report"] = record.report.to_json()
+    if record.results is not None:
+        payload["results"] = [
+            serialize_result(r) if r is not None else None for r in record.results
+        ]
+        payload["fingerprints"] = [
+            result_fingerprint(r) if r is not None else None for r in record.results
+        ]
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 class TestEndpoints:
@@ -84,6 +128,78 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+
+class TestRequestReads:
+    def test_stalled_body_times_out_with_400(self, live, monkeypatch):
+        """A client that announces more body than it sends is answered
+        400 once the read timeout passes, not held forever."""
+        monkeypatch.setattr(service_http, "_READ_TIMEOUT_S", 0.2)
+        _, server, _ = live
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100\r\n\r\n" + b"{" * 10
+            )
+            response = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert time.monotonic() - start < 5
+
+
+class TestResultBody:
+    def test_body_bytes_match_the_whole_payload_encoded(self, monkeypatch):
+        """The served bytes equal ``json.dumps(payload, sort_keys=True)``
+        of the whole payload for queued, cancelled, done (sharing a result
+        object with another record) and failed (a ``null`` slot) jobs."""
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "GUPS:*:exc")
+        with JobManager(workers=1, max_retries=0, autostart=False) as manager:
+            with BackgroundServer(manager) as server:
+                client = ServiceClient(server.url)
+                ids = {}
+                ids["queued"] = client.submit(
+                    {"apps": ["SRAD"], "schemes": ["lds"], "scale": SCALE}
+                )["job_id"]
+                ids["cancelled"] = client.submit(
+                    {"apps": ["SRAD"], "schemes": ["icache"], "scale": SCALE}
+                )["job_id"]
+                client.cancel(ids["cancelled"])
+                served = {
+                    name: (_raw_body(f"{server.url}/jobs/{ids[name]}/result"),
+                           _reference_body(manager.get(ids[name])))
+                    for name in ("queued", "cancelled")
+                }
+                ids["one"] = client.submit(
+                    {"apps": ["SRAD", "ATAX"], "schemes": ["baseline"], "scale": SCALE}
+                )["job_id"]
+                ids["two"] = client.submit(
+                    {"apps": ["ATAX"], "schemes": ["baseline", "lds"], "scale": SCALE}
+                )["job_id"]
+                ids["failed"] = client.submit(
+                    {"apps": ["GUPS", "SRAD"], "schemes": ["baseline"], "scale": SCALE}
+                )["job_id"]
+                manager.start()
+                for name in ("one", "two", "failed"):
+                    manager.wait(ids[name], timeout=300)
+                records = {name: manager.get(job_id) for name, job_id in ids.items()}
+                assert records["one"].results[1] is records["two"].results[0]
+                assert records["failed"].results[0] is None
+                for name in ("one", "two", "failed"):
+                    served[name] = (
+                        _raw_body(f"{server.url}/jobs/{ids[name]}/result"),
+                        _reference_body(records[name]),
+                    )
+        statuses = {"queued": 202, "cancelled": 409, "one": 200, "two": 200,
+                    "failed": 200}
+        for name, ((status, body), reference) in served.items():
+            assert status == statuses[name], name
+            assert body == reference, name
+        assert json.loads(served["failed"][0][1])["results"][0] is None
 
 
 class TestJobFlow:

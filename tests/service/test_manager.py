@@ -1,5 +1,8 @@
 """JobManager lifecycle: dedup, batching, cancel, eviction, failures."""
 
+import json
+import sys
+import threading
 import time
 
 import pytest
@@ -292,3 +295,114 @@ class TestFingerprintMemo:
         assert after == [fingerprint(second.results[0])]
         assert before != after
         assert len(calls) == 2
+
+
+class TestResultText:
+    """The result body splices in each result object's JSON text, encoded
+    once per manager, and always the text of the object it serves."""
+
+    @pytest.fixture
+    def serialized(self, monkeypatch):
+        """A fast stub simulator (each run a new result) and the list of
+        results ``serialize_result`` was called on. Fingerprints are
+        stubbed too, so every counted call is the body's own encoding."""
+
+        runs = []
+
+        def fake_simulate(app_name, config, scale, store):
+            runs.append(app_name)
+            return SimResult(app_name=app_name, scheme=config.scheme.value,
+                             cycles=len(runs))
+
+        original = common.serialize_result
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return original(result)
+
+        monkeypatch.setattr(common, "simulate", fake_simulate)
+        monkeypatch.setattr(common, "serialize_result", counting)
+        monkeypatch.setattr(common, "result_fingerprint",
+                            lambda result: f"print-{result.cycles}")
+        monkeypatch.setattr(common, "_CACHE_DIR", "")
+        return calls, original
+
+    def test_shared_result_is_encoded_once(self, serialized):
+        calls, serialize = serialized
+        with JobManager(workers=1, autostart=False) as manager:
+            one, _ = manager.submit(tiny_spec("GUPS", "ATAX"))
+            two, _ = manager.submit(tiny_spec("ATAX", "MVT"))
+            manager.start()
+            assert manager.wait(one.job_id, timeout=60) == DONE
+            assert manager.wait(two.job_id, timeout=60) == DONE
+            assert one.results[1] is two.results[0]
+            fetched = (one, two) * 3
+            payloads = [manager.result_payload(record.job_id) for record in fetched]
+        assert len(calls) == 3 == len({id(r) for r in one.results + two.results})
+        for payload, record in zip(payloads, fetched):
+            assert payload["results"] == [serialize(r) for r in record.results]
+
+    def test_resimulated_result_is_served_its_own_text(self, serialized):
+        """After ``clear_cache`` the same job is simulated again into a new
+        object with other cycles; each record is served its own object's
+        text, not the text memoized for the job before."""
+
+        calls, _ = serialized
+        with JobManager(workers=1) as manager:
+            first, _ = manager.submit(tiny_spec("SRAD"))
+            manager.wait(first.job_id, timeout=60)
+            before = manager.result_payload(first.job_id)["results"]
+            common.clear_cache()
+            second, _ = manager.submit(tiny_spec("SRAD", max_retries=1))
+            manager.wait(second.job_id, timeout=60)
+            after = manager.result_payload(second.job_id)["results"]
+            assert manager.result_payload(first.job_id)["results"] == before
+        assert first.keys == second.keys
+        assert first.results[0] is not second.results[0]
+        assert [r["cycles"] for r in before] == [first.results[0].cycles] == [1]
+        assert [r["cycles"] for r in after] == [second.results[0].cycles] == [2]
+        assert len(calls) == 2
+
+    def test_concurrent_fetches_see_whole_records(self, serialized):
+        """Eight threads fetch while the batch runs: every body is either
+        pending without results or done with every result, and each result
+        object is still encoded once."""
+
+        calls, serialize = serialized
+        with JobManager(workers=1, autostart=False) as manager:
+            records = [manager.submit(tiny_spec(app, "ATAX"))[0]
+                       for app in ("GUPS", "MVT", "SRAD", "BICG")]
+            fetched = []
+
+            def fetch():
+                for _ in range(100):
+                    for record in records:
+                        fetched.append((record, manager.result_body(record.job_id)))
+
+            threads = [threading.Thread(target=fetch) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                manager.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            for record in records:
+                assert manager.wait(record.job_id, timeout=60) == DONE
+        assert len(fetched) == 8 * 100 * len(records)
+        for record, (state, body) in fetched:
+            payload = json.loads(body)
+            assert payload["state"] == state
+            if state == DONE:
+                assert payload["results"] == [serialize(r) for r in record.results]
+                assert payload["fingerprints"] == [
+                    f"print-{r.cycles}" for r in record.results
+                ]
+            else:
+                assert "results" not in payload and "fingerprints" not in payload
+        assert len(calls) == len({id(r) for record in records for r in record.results}) == 5
