@@ -1,10 +1,9 @@
-"""Record simulator-vs-estimator wall time as a perf-trajectory artifact.
+"""Record the simulator's wall time as a perf-trajectory artifact.
 
 Runs a reduced Figure 13 grid (one job per application, rotating through
-the scheme variants) through the simulator and the analytical estimator
-and writes the timings to a JSON file that CI uploads on every run.
-Plotting the artifact over commits shows the simulator's trajectory
-against the closed-form fast tier.
+the scheme variants) through the simulator and writes the timings to a
+JSON file that CI uploads on every run. Plotting the artifact over
+commits shows the simulator's trajectory.
 
 Before timing, the same diagonal is simulated at the scale of the result
 pins (tests/pins/fingerprints.json) and every fingerprint is compared with
@@ -24,7 +23,6 @@ from pathlib import Path
 
 from repro.experiments.common import _config_signature, result_fingerprint
 from repro.experiments.fig13_main import sweep_jobs
-from repro.sim.analytical import estimate_app
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
@@ -83,24 +81,17 @@ def main() -> int:
     rows = []
     for job in _diagonal(args.scale):
         _, event_s = _timed(lambda: _simulate(job))
-        _, estimate_s = _timed(
-            lambda: estimate_app(job.app_name, job.config, job.scale)
-        )
         rows.append(
             {
                 "app": job.app_name,
                 "scheme": job.config.scheme.value,
                 "event_s": round(event_s, 4),
-                "estimate_s": round(estimate_s, 4),
             }
         )
-        print(
-            f"{job.app_name:5s} {job.config.scheme.value:18s} "
-            f"event {event_s:6.3f}s  estimate {estimate_s:6.3f}s"
-        )
+        print(f"{job.app_name:5s} {job.config.scheme.value:18s} "
+              f"event {event_s:6.3f}s")
 
     total_event = sum(row["event_s"] for row in rows)
-    total_estimate = sum(row["estimate_s"] for row in rows)
     payload = {
         "scale": args.scale,
         "python": platform.python_version(),
@@ -108,15 +99,11 @@ def main() -> int:
         "jobs": len(rows),
         "pins_checked": checked,
         "total_event_s": round(total_event, 4),
-        "total_estimate_s": round(total_estimate, 4),
         "rows": rows,
     }
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2)
-    print(
-        f"\n{len(rows)} jobs: event {total_event:.2f}s, estimate "
-        f"{total_estimate:.2f}s -> {args.out}"
-    )
+    print(f"\n{len(rows)} jobs: event {total_event:.2f}s -> {args.out}")
     return 0
 
 

@@ -12,10 +12,6 @@ Commands:
   fault-tolerance knobs ``--timeout``, ``--max-retries``,
   ``--keep-going``; ``--telemetry`` prints the per-job table and, with
   ``REPRO_PROFILE`` set, the merged cProfile hotspots).
-- ``estimate`` — analytical model (``repro.sim.analytical``): predict
-  PTW-PKI and scheme speedups from a functional replay of the wave
-  programs, with no timing simulation; ``--compare`` validates the
-  prediction against the simulator inline.
 - ``trace``    — simulate one application with the execution tracer and
   port timelines attached and export Chrome trace-event JSON (one track
   per CU/SIMD, per shared port, per page-table walker) for Perfetto /
@@ -514,99 +510,6 @@ def cmd_submit_status(args) -> int:
     return 0
 
 
-def _estimate_figures() -> dict:
-    """Scheme arms estimated per figure by ``repro estimate``.
-
-    Derived from the scheme registry: fig13's arms are a baseline column
-    plus the ``fig13-victim`` tag, restricted to schemes the analytical
-    model supports (plugins may opt out and require simulation).
-    """
-
-    fig13 = ("baseline",) + tuple(
-        spec.name for spec in scheme_registry.schemes_for_tag("fig13-victim")
-    )
-    figures = {"table2": ("baseline",), "fig13": fig13}
-    return {
-        figure: tuple(
-            name for name in names if scheme_registry.get(name).analytical
-        )
-        for figure, names in figures.items()
-    }
-
-
-_ESTIMATE_FIGURES = _estimate_figures()
-
-
-def cmd_estimate(args) -> int:
-    from repro.experiments.common import gmean_speedup
-    from repro.sim.analytical import estimate_app
-
-    schemes = _ESTIMATE_FIGURES[args.figure]
-    apps = [name.upper() for name in args.apps] if args.apps else app_names()
-    try:
-        base_config = _build_config(args)
-    except ValueError as error:
-        print(f"repro estimate: error: {error}", file=sys.stderr)
-        return 2
-    rows = []
-    est_speedups = {name: [] for name in schemes}
-    sim_speedups = {name: [] for name in schemes}
-    for app in apps:
-        base_est = None
-        base_sim = None
-        for name in schemes:
-            config = scheme_registry.apply_scheme(base_config, name)
-            estimate = estimate_app(app, config, args.scale)
-            if base_est is None:
-                base_est = estimate
-            speedup = (
-                base_est.est_cycles / estimate.est_cycles
-                if estimate.est_cycles else 1.0
-            )
-            est_speedups[name].append(speedup)
-            row = {
-                "app": app,
-                "scheme": name,
-                "est_ptw_pki": estimate.ptw_pki,
-                "est_walks": estimate.page_walks,
-                "est_speedup": speedup,
-            }
-            if args.compare:
-                result = _run_one(app, config, args.scale)
-                if base_sim is None:
-                    base_sim = result
-                sim_speedup = base_sim.cycles / result.cycles
-                sim_speedups[name].append(sim_speedup)
-                row["sim_ptw_pki"] = result.ptw_pki
-                row["pki_err_pct"] = (
-                    100.0 * (estimate.ptw_pki - result.ptw_pki) / result.ptw_pki
-                    if result.ptw_pki else 0.0
-                )
-                row["sim_speedup"] = sim_speedup
-            rows.append(row)
-    if len(schemes) > 1:
-        for name in schemes:
-            row = {
-                "app": "GMEAN",
-                "scheme": name,
-                "est_speedup": gmean_speedup(est_speedups[name]),
-            }
-            if args.compare:
-                row["sim_speedup"] = gmean_speedup(sim_speedups[name])
-            rows.append(row)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as handle:
-            json.dump(
-                {"figure": args.figure, "scale": args.scale, "rows": rows},
-                handle,
-                indent=2,
-            )
-    print(f"Analytical estimate for {args.figure} (scale {args.scale}; "
-          f"no timing simulation):")
-    print(format_plain(rows))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -680,27 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-port timeline interval capacity (default 100,000)",
     )
     trace_parser.set_defaults(func=cmd_trace)
-
-    estimate_parser = sub.add_parser(
-        "estimate",
-        help="analytically estimate PTW-PKI and speedups (no simulation)",
-    )
-    estimate_parser.add_argument("figure", choices=sorted(_ESTIMATE_FIGURES))
-    add_common(estimate_parser)
-    estimate_parser.add_argument(
-        "--apps", nargs="+", metavar="APP",
-        help="restrict to these applications (default: all)",
-    )
-    estimate_parser.add_argument(
-        "--compare", action="store_true",
-        help="also simulate each job and show the estimator's PTW-PKI "
-             "error and the simulated speedups",
-    )
-    estimate_parser.add_argument(
-        "--json", dest="json_out", metavar="PATH",
-        help="also write the estimate rows to PATH as JSON",
-    )
-    estimate_parser.set_defaults(func=cmd_estimate)
 
     from repro.experiments.report import SWEEP_GRIDS
 

@@ -44,9 +44,8 @@ class ReconfigurableICache(InstructionCache):
         tx_config: ICacheTxConfig,
         stats: Optional[Stats] = None,
         name: str = "icache",
-        track_idle: bool = True,
     ) -> None:
-        super().__init__(config, stats=stats, name=name, track_idle=track_idle)
+        super().__init__(config, stats=stats, name=name)
         self.tx_config = tx_config
         self._index_bits = max(1, (self.num_lines - 1).bit_length())
         self.codec = BaseDeltaCodec(tx_config.tag_base_bits, tx_config.tag_delta_bits)

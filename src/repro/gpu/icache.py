@@ -53,7 +53,6 @@ class InstructionCache:
         config: ICacheConfig,
         stats: Optional[Stats] = None,
         name: str = "icache",
-        track_idle: bool = True,
     ) -> None:
         self.config = config
         self.name = name
@@ -73,7 +72,7 @@ class InstructionCache:
         ]
         self.port = Port(
             f"{name}.port", units=1, occupancy=config.port_occupancy,
-            track_idle=track_idle,
+            track_idle=True,
         )
         self._lru_seq = 0
 

@@ -39,7 +39,6 @@ class LocalDataShare:
         tx_config: LDSTxConfig,
         stats: Optional[Stats] = None,
         name: str = "lds",
-        track_idle: bool = True,
     ) -> None:
         self.config = config
         self.tx_config = tx_config
@@ -52,7 +51,7 @@ class LocalDataShare:
         self.mode: List[SegmentMode] = [SegmentMode.FREE] * self.num_segments
         self.port = Port(
             f"{name}.port", units=1, occupancy=config.port_occupancy,
-            track_idle=track_idle,
+            track_idle=True,
         )
         self._allocations: Dict[int, Tuple[int, int]] = {}
         self._next_alloc_id = 1

@@ -11,9 +11,6 @@ work. Every scheme is described by a :class:`SchemeSpec`:
 - capability flags (``uses_lds_tx`` / ``uses_icache_tx`` / ``uses_ducati``
   / ``uses_subregion``) — which victim-cache structures
   :class:`~repro.system.GPUSystem` wires up for the scheme.
-- ``analytical`` — whether the analytical model
-  (:mod:`repro.sim.analytical`) can estimate the scheme; an unsupported
-  estimate raises a clear error instead of silently mispredicting.
 - ``tags`` — grid-membership labels the experiment harnesses enumerate
   (e.g. the fig13 victim-cache arms), so a new scheme joins the right
   grids by declaring a tag rather than by editing every harness.
@@ -50,8 +47,6 @@ class PluginScheme:
     uses_icache_tx: bool = False
     uses_ducati: bool = False
     uses_subregion: bool = False
-    #: Whether :func:`repro.sim.analytical.estimate_app` models the scheme.
-    analytical: bool = False
 
     @property
     def value(self) -> str:
@@ -60,15 +55,13 @@ class PluginScheme:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One registered scheme: identity, capabilities, estimator support."""
+    """One registered scheme: identity, capabilities, grid tags."""
 
     name: str
     #: The object stored on ``SystemConfig.scheme`` — a ``TxScheme``
     #: member for built-ins, a :class:`PluginScheme` for plugins.
     scheme: object
     description: str = ""
-    #: Whether the analytical model can estimate this scheme.
-    analytical: bool = True
     #: Grid-membership labels enumerated by the experiment harnesses.
     tags: Tuple[str, ...] = ()
     #: Applied when the scheme is selected by name on a base config;

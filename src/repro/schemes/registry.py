@@ -67,7 +67,6 @@ def register_plugin(
     uses_icache_tx: bool = False,
     uses_ducati: bool = False,
     uses_subregion: bool = False,
-    analytical: bool = False,
     tags: Tuple[str, ...] = (),
     configure: Optional[Callable[..., object]] = None,
 ) -> SchemeSpec:
@@ -79,14 +78,12 @@ def register_plugin(
         uses_icache_tx=uses_icache_tx,
         uses_ducati=uses_ducati,
         uses_subregion=uses_subregion,
-        analytical=analytical,
     )
     return register(
         SchemeSpec(
             name=name,
             scheme=scheme,
             description=description,
-            analytical=analytical,
             tags=tags,
             configure=configure,
         )

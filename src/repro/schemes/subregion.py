@@ -203,6 +203,5 @@ register_plugin(
         "walker path (arXiv 2110.08613)"
     ),
     uses_subregion=True,
-    analytical=False,
     tags=("subregion-grid",),
 )

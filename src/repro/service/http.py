@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
+import signal
 import threading
 import time
 from http import HTTPStatus
@@ -372,15 +374,28 @@ class ServiceServer:
 
 
 async def _serve_async(server: ServiceServer) -> None:
+    # SIGTERM takes the Ctrl-C path: it cancels this task, so the server
+    # stops and serve() closes the pool. Closing the loop restores the
+    # default action, so a second SIGTERM during that close kills at once.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
     await server.start()
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
-        # Normal shutdown path (KeyboardInterrupt cancels the runner's
-        # main task); announce it instead of exiting silently.
+        # Normal shutdown path (Ctrl-C or SIGTERM cancels the main task);
+        # announce it instead of exiting silently.
         server._log("[service] shutdown requested; stopping")
     finally:
         await server.stop()
+
+
+def _default_sigterm() -> None:
+    # Runs in each forked pool worker. With the loop's handler inherited,
+    # a worker would ignore the pool's terminate() and pass the signal
+    # through the inherited wakeup fd to the server's loop, stopping it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def serve(
@@ -389,10 +404,11 @@ def serve(
     port: int = 8000,
     log: Optional[Callable[[str], None]] = print,
 ) -> None:
-    """Run the service in the foreground until interrupted (the
-    ``python -m repro serve`` entry point)."""
+    """Run the service in the foreground until SIGINT or SIGTERM (the
+    ``python -m repro serve`` entry point); either one closes the pool."""
 
     server = ServiceServer(manager, host=host, port=port, log=log)
+    os.register_at_fork(after_in_child=_default_sigterm)
     try:
         asyncio.run(_serve_async(server))
     except KeyboardInterrupt:

@@ -243,11 +243,9 @@ class GPUSystem:
         }
         lds_gaps = _merged_box_stats(
             cu.lds.port.idle_tracker.gaps for cu in self.cus
-            if cu.lds.port.idle_tracker is not None
         )
         icache_gaps = _merged_box_stats(
             icache.port.idle_tracker.gaps for icache in self.icaches
-            if icache.port.idle_tracker is not None
         )
         distributions["lds_port_idle"] = lds_gaps
         distributions["icache_port_idle"] = icache_gaps

@@ -180,18 +180,6 @@ class TestPerfectL2Fix:
         assert job.config.tlb.perfect_l2
 
 
-class TestEngineGating:
-    """The analytical estimator refuses schemes it cannot model; the event
-    simulator runs every registered scheme."""
-
-    def test_analytical_gating(self):
-        from repro.sim.analytical import FunctionalReachModel
-
-        config = config_for("subregion-coalescing")
-        with pytest.raises(ValueError, match="analytical"):
-            FunctionalReachModel(config)
-
-
 class TestSchemeUniverseAgreement:
     """Regression for the scheme-list drift bug: every surface that
     enumerates schemes must agree with the registry."""
@@ -216,12 +204,6 @@ class TestSchemeUniverseAgreement:
                 a for a in sub_parser._actions if option in a.option_strings
             )
             assert list(action.choices) == scheme_names(), (command, option)
-
-    def test_estimate_figures_subset_of_registry(self):
-        from repro.cli import _ESTIMATE_FIGURES
-
-        for names in _ESTIMATE_FIGURES.values():
-            assert set(names) <= set(scheme_names())
 
     def test_fig13_grid_matches_tag(self):
         from repro.experiments.fig13_main import SCHEMES

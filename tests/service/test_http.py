@@ -1,7 +1,13 @@
-"""End-to-end HTTP API tests: BackgroundServer + ServiceClient."""
+"""End-to-end HTTP API tests: BackgroundServer + ServiceClient, and the
+``repro serve`` process's shutdown on signals."""
 
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -349,3 +355,122 @@ class TestEvents:
         status = client.status(job_id)
         assert status["state"] == "failed"
         assert status["report"]["failures"][0]["disposition"] == "exception"
+
+
+# ---------------------------------------------------------------------------
+# `repro serve` as a process: signals
+# ---------------------------------------------------------------------------
+
+#: Four jobs, so the server runs them on its shared pool of two workers.
+POOL_SPEC = {"apps": ["SRAD", "SSSP"], "schemes": ["baseline", "lds"],
+             "scale": 0.01}
+
+
+def _start_serve(tmp_path):
+    """``repro serve --port 0 --jobs 2`` in its own process group; returns
+    the process and the port from its ``listening on`` line."""
+    log = tmp_path / "serve.log"
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    with open(log, "wb") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "2"],
+            stdout=out, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
+    deadline = time.monotonic() + 60
+    while True:
+        match = re.search(r"listening on http://127\.0\.0\.1:(\d+)",
+                          log.read_text())
+        if match:
+            return proc, int(match.group(1))
+        assert proc.poll() is None, log.read_text()
+        assert time.monotonic() < deadline, log.read_text()
+        time.sleep(0.1)
+
+
+def _run_on_pool(port):
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+    job = client.submit(POOL_SPEC)
+    assert client.wait(job["job_id"], timeout=120)["state"] == "done"
+    assert client.healthz()["pool"]["alive"]
+    return client
+
+
+def _live_children(pid):
+    """Pids of ``pid``'s children that have not exited, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _group_gone(pgid, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.1)
+    return False
+
+
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=10)
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_stops_server_and_pool(self, tmp_path, signum):
+        proc, port = _start_serve(tmp_path)
+        try:
+            _run_on_pool(port)
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == 0
+            # No pool worker outlives the server, so none holds the port.
+            assert _group_gone(proc.pid)
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind(("127.0.0.1", port))
+                sock.listen()
+        finally:
+            _kill_group(proc)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigterm_to_a_pool_worker_ends_only_that_worker(self, tmp_path):
+        # A worker forked under the server's SIGTERM handler must still die
+        # on SIGTERM (the pool terminates workers that way), and the signal
+        # must not reach the server.
+        proc, port = _start_serve(tmp_path)
+        try:
+            client = _run_on_pool(port)
+            worker = _live_children(proc.pid)[0]
+            os.kill(worker, signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            while worker in _live_children(proc.pid):
+                assert time.monotonic() < deadline, "worker ignored SIGTERM"
+                time.sleep(0.1)
+            time.sleep(0.5)
+            assert proc.poll() is None
+            assert client.healthz()["status"] == "ok"
+            job = client.submit(dict(POOL_SPEC, scale=0.02))
+            assert client.wait(job["job_id"], timeout=120)["state"] == "done"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            _kill_group(proc)

@@ -23,6 +23,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "SRAD", "--scheme", "warp"])
 
+    def test_estimate_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["estimate", "fig13"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'estimate'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -59,9 +59,7 @@ class TestLdsModePrecedence:
     def test_lds_mode_always_wins(self, steps):
         # A small LDS (16 segments) so allocations and Tx fills collide
         # constantly.
-        lds = LocalDataShare(
-            LDSConfig(size_bytes=16 * 32), LDSTxConfig(), track_idle=False
-        )
+        lds = LocalDataShare(LDSConfig(size_bytes=16 * 32), LDSTxConfig())
         tx = LDSTxCache(lds, LDSTxConfig())
         live = []
         for action, value in steps:
@@ -93,9 +91,7 @@ class TestLdsModePrecedence:
     @given(st.integers(0, 1 << 20), st.integers(1, 512))
     @settings(max_examples=60, deadline=None)
     def test_allocation_reclaims_tx_segments(self, vpn, nbytes):
-        lds = LocalDataShare(
-            LDSConfig(size_bytes=16 * 32), LDSTxConfig(), track_idle=False
-        )
+        lds = LocalDataShare(LDSConfig(size_bytes=16 * 32), LDSTxConfig())
         tx = LDSTxCache(lds, LDSTxConfig())
         accepted, _ = tx.fill(_entry(vpn), now=0)
         assert accepted
@@ -141,7 +137,6 @@ class TestInstructionAwareReplacement:
         cache = ReconfigurableICache(
             ICacheConfig(size_bytes=16 * 64),
             ICacheTxConfig(replacement=ICacheReplacement.INSTRUCTION_AWARE),
-            track_idle=False,
         )
         for action, value in steps:
             if action == "fetch":
@@ -160,7 +155,6 @@ class TestInstructionAwareReplacement:
         cache = ReconfigurableICache(
             ICacheConfig(size_bytes=16 * 64),
             ICacheTxConfig(replacement=ICacheReplacement.NAIVE),
-            track_idle=False,
         )
         for action, value in steps:
             if action == "fetch":
