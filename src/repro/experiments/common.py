@@ -1,8 +1,8 @@
 """Shared experiment infrastructure.
 
 - A process-wide result memo plus the process-default on-disk store
-  (:func:`default_store`): many figures share the same baseline runs, and
-  pytest-benchmark repeats harness calls.
+  (:func:`default_store`): many figures share the same baseline runs, so
+  one ``repro report`` simulates each distinct job once.
 - ``cache_key``: one job's identity. Each configuration's signature is
   derived once per process, in a bounded memo keyed by its ``repr``.
 - ``simulate``: one job against an explicit store, never the memo (the

@@ -391,11 +391,16 @@ async def _serve_async(server: ServiceServer) -> None:
         await server.stop()
 
 
-def _default_sigterm() -> None:
+def _detach_worker(server: ServiceServer) -> None:
     # Runs in each forked pool worker. With the loop's handler inherited,
     # a worker would ignore the pool's terminate() and pass the signal
     # through the inherited wakeup fd to the server's loop, stopping it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Nor may a worker hold the listening socket: orphaned by a SIGKILL of
+    # the server, it would keep the port bound.
+    if server._server is not None:
+        for sock in server._server.sockets:
+            os.close(sock.fileno())
 
 
 def serve(
@@ -408,7 +413,7 @@ def serve(
     ``python -m repro serve`` entry point); either one closes the pool."""
 
     server = ServiceServer(manager, host=host, port=port, log=log)
-    os.register_at_fork(after_in_child=_default_sigterm)
+    os.register_at_fork(after_in_child=lambda: _detach_worker(server))
     try:
         asyncio.run(_serve_async(server))
     except KeyboardInterrupt:

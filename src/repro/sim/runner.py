@@ -773,7 +773,9 @@ class SweepRunner:
                 )
                 self._collect(common, store, pending, resolved, report)
         finally:
-            report.jobs_simulated = len(pending)
+            # Only jobs that finished: an abort or a lost pool leaves some
+            # pending jobs unrun, and a failed job simulated nothing.
+            report.jobs_simulated = sum(1 for t in report.timings if not t.cached)
             report.wall_clock_s = time.perf_counter() - started
             if store is not None:
                 report.store = counters_delta(store_before)

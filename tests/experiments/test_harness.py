@@ -1,8 +1,9 @@
 """Tests for the experiment harness (small scale, shared result cache).
 
 These assert the *structure* of every reproduced table/figure plus the
-qualitative properties that must hold at any scale. The full-scale shape
-checks live in benchmarks/ (one per figure).
+qualitative properties that must hold at any scale. The paper's claims at
+the calibrated scale are checked by ``repro.experiments.validation``,
+whose checklists ``repro report`` renders into EXPERIMENTS.md.
 """
 
 import pytest

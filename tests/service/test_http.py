@@ -452,6 +452,31 @@ class TestServeSignals:
             _kill_group(proc)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigkilled_server_leaves_its_port_free(self, tmp_path):
+        # SIGKILL gives the server no chance to close its pool: the
+        # orphaned workers live on, blocked on the pool's queue, but none
+        # of them may hold the listening socket.
+        proc, port = _start_serve(tmp_path)
+        workers = []
+        try:
+            _run_on_pool(port)
+            workers = _live_children(proc.pid)
+            assert workers
+            proc.kill()
+            proc.wait(timeout=10)
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind(("127.0.0.1", port))
+                sock.listen()
+        finally:
+            for worker in workers:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            _kill_group(proc)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_sigterm_to_a_pool_worker_ends_only_that_worker(self, tmp_path):
         # A worker forked under the server's SIGTERM handler must still die
         # on SIGTERM (the pool terminates workers that way), and the signal

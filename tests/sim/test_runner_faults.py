@@ -172,6 +172,25 @@ class TestRetries:
         assert jobs[0].key() in common._CACHE
         assert "ATAX" in str(excinfo.value)
 
+    def test_abort_counts_only_the_jobs_that_ran(self):
+        # An ``exc`` fault on the second of three serial jobs: the first
+        # ran, the second failed and the third never started.
+        runner = SweepRunner(
+            jobs=1, fault=parse_fault_spec("ATAX:*:exc"), max_retries=0,
+            keep_going=False,
+        )
+        with pytest.raises(SweepAbort) as excinfo:
+            runner.run_with_report(grid(apps=("SRAD", "ATAX", "GUPS")))
+        assert excinfo.value.report.jobs_simulated == 1
+
+    def test_keep_going_does_not_count_failed_jobs_as_simulated(self):
+        runner = SweepRunner(
+            jobs=1, fault=fail_atax_always, max_retries=0, keep_going=True
+        )
+        _, report = runner.run_with_report(grid())
+        assert len(report.failures) == 1
+        assert report.jobs_simulated == 2
+
     def test_failure_log_drained_for_report_module(self):
         """The report module reads terminal failures off each sweep's own
         report (carried on ``ExperimentResult.sweep_report``): every run's
