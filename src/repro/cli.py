@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
         common._CACHE_DIR = args.cache_dir
 
     jobs = SWEEP_GRIDS[args.figure](args.scale)
-    executor = getattr(args, "executor", None)
+    executor = args.executor
     remote_executor = None
     if executor == "remote":
         from repro.sim.executors.remote import (
@@ -630,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
              "endpoint returns",
     )
     sweep_parser.add_argument(
-        "--executor", choices=["serial", "pool", "remote"], default=None,
-        help="execution backend (default: REPRO_EXECUTOR or pool). serial "
-             "runs in-process; pool uses local worker processes; remote "
-             "starts a coordinator that repro worker processes connect to",
+        "--executor", choices=["serial", "pool", "remote"], default="pool",
+        help="execution backend (default: pool). serial runs in-process; "
+             "pool uses local worker processes; remote starts a "
+             "coordinator that repro worker processes connect to",
     )
     sweep_parser.add_argument(
         "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
          "entry/debris counts, layout, and process-local hit/miss counters"),
         ("gc", cmd_cache_gc,
          "remove debris (orphan temp files, quarantined corrupt files, "
-         "stale-schema entries) and optionally age-expired results"),
+         "stale and corrupt entries) and optionally age-expired results"),
         ("verify", cmd_cache_verify,
          "parse every stored result; exit 1 if any is corrupt"),
     ):

@@ -40,8 +40,8 @@ class WorkGroupDispatcher:
         self._scheduler: Optional[WaveScheduler] = None
         self._outstanding = 0
         # Fired with the completion time when a kernel fully drains (all
-        # work-groups dispatched and completed); used by the concurrent
-        # multi-application mode (Section 7.2) to launch the next kernel.
+        # work-groups dispatched and completed); GPUSystem's kernel
+        # sequencing launches the app's next kernel from it.
         self.on_kernel_complete = None
 
     def start_kernel(
@@ -60,6 +60,14 @@ class WorkGroupDispatcher:
             raise ValueError(
                 f"kernel {kernel.name!r} requests {kernel.lds_bytes_per_workgroup}B "
                 f"LDS per work-group but CUs have only {lds_limit}B"
+            )
+        # A work-group that fits no CU would never dispatch, and its
+        # kernel would never complete.
+        wave_limit = self.cus[0].config.gpu.max_waves_per_cu
+        if kernel.waves_per_workgroup > wave_limit:
+            raise ValueError(
+                f"kernel {kernel.name!r} needs {kernel.waves_per_workgroup} waves "
+                f"per work-group but CUs have only {wave_limit} wave slots"
             )
         self._app_name = app_name
         self._kernel = kernel

@@ -14,10 +14,9 @@ A submitted spec becomes a :class:`JobRecord` that moves through
 - **Batching**: one executor thread drains everything queued at once and
   pushes it through a single :class:`~repro.sim.runner.SweepRunner` call
   per knob group (timeout / max_retries), passing the one
-  :class:`~repro.service.executor.SharedProcessPool` as its executor (so
-  ``REPRO_EXECUTOR`` never redirects the service) — concurrent requests
-  share a pool instead of each spawning their own, and overlapping grids
-  collapse inside the runner's own dedup.
+  :class:`~repro.service.executor.SharedProcessPool` as its executor —
+  concurrent requests share a pool instead of each spawning their own,
+  and overlapping grids collapse inside the runner's own dedup.
 - **Fault tolerance**: batches always run ``keep_going=True``; a job that
   crashes a worker surfaces as a :class:`~repro.sim.runner.JobFailure` in
   that record's report (state ``failed``, results ``None`` at the failed

@@ -44,6 +44,6 @@ __all__ = [
 
 
 def executor_names():
-    """The valid ``--executor`` / ``REPRO_EXECUTOR`` selector values."""
+    """The valid ``--executor`` selector values."""
 
     return list(EXECUTOR_NAMES)

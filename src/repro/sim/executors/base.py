@@ -32,7 +32,7 @@ from repro.sim.runner import SweepJob, WorkerOutcome
 from repro.sim.store import ResultStore
 
 #: The selector vocabulary (``SweepRunner(executor=...)``, CLI
-#: ``--executor``, ``REPRO_EXECUTOR``).
+#: ``--executor``).
 EXECUTOR_NAMES = ("serial", "pool", "remote")
 
 FaultHook = Optional[Callable[[SweepJob, int], None]]

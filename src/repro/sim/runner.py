@@ -57,8 +57,8 @@ that store but never a process memo, and only the runner's own process
 memoizes finished results. Experiment harnesses declare their grid once
 (:class:`repro.experiments.common.Grid`), run it through the runner, and
 assemble rows from the returned results. Each :class:`SweepReport` goes
-to its caller and is held nowhere else but :attr:`SweepRunner.last_report`,
-so a long-lived process keeps no report it has dropped.
+to its caller and is held nowhere else, so a long-lived process keeps no
+report it has dropped.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 KEEP_GOING_ENV = "REPRO_KEEP_GOING"
 #: Deterministic fault-injection spec (see :func:`parse_fault_spec`).
 FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
-#: Default executor backend name ("serial" | "pool"; "remote" needs a
-#: live coordinator and must be passed as an instance).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.05
@@ -631,7 +628,7 @@ class SweepRunner:
         Defaults to ``REPRO_FAULT_SPEC`` (parsed) when set.
     executor:
         Which backend executes attempts (see :mod:`repro.sim.executors`):
-        ``"pool"`` (default, from ``REPRO_EXECUTOR``) fans across a
+        ``"pool"`` (default) fans across a
         private local process pool; ``"serial"`` runs in-process
         regardless of worker count; or a
         :class:`~repro.sim.executors.base.SweepExecutor` *instance* — the
@@ -652,7 +649,7 @@ class SweepRunner:
         retry_backoff_s: Optional[float] = None,
         keep_going: Optional[bool] = None,
         fault: Optional[Callable[[SweepJob, int], None]] = None,
-        executor: Union[str, "SweepExecutor", None] = None,
+        executor: Union[str, "SweepExecutor"] = "pool",
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -682,8 +679,6 @@ class SweepRunner:
             if spec:
                 fault = parse_fault_spec(spec)
         self.fault = fault
-        if executor is None:
-            executor = os.environ.get(EXECUTOR_ENV, "").strip() or "pool"
         if isinstance(executor, str):
             if executor not in ("serial", "pool", "remote"):
                 raise ValueError(
@@ -697,7 +692,6 @@ class SweepRunner:
                     "(repro sweep --executor remote builds one)"
                 )
         self.executor = executor
-        self.last_report: Optional[SweepReport] = None
         self._hotspot_groups: List[List[Hotspot]] = []
 
     def _log(self, message: str) -> None:
@@ -708,9 +702,8 @@ class SweepRunner:
         """Run ``jobs``; returns results in submission order.
 
         Failed jobs (only possible with ``keep_going=True``) appear as
-        ``None`` placeholders at their submission slots. The detailed
-        :class:`SweepReport` is available as :attr:`last_report`
-        afterwards (or use :meth:`run_with_report`).
+        ``None`` placeholders at their submission slots. Use
+        :meth:`run_with_report` for the detailed :class:`SweepReport`.
         """
 
         results, _ = self.run_with_report(jobs)
@@ -783,7 +776,6 @@ class SweepRunner:
                 report.hotspots = merge_hotspots(
                     self._hotspot_groups, profile_top() or DEFAULT_PROFILE_TOP
                 )
-            self.last_report = report
             self._log(report.summary())
         return [resolved[key] for key in keys], report
 

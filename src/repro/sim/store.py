@@ -12,10 +12,11 @@ Layout: a sharded two-level directory tree,
 
 which keeps directory fan-out bounded when millions of entries share one
 store (a flat directory degrades most filesystems long before that).
-Pre-sharding stores wrote ``<root>/<digest>.json``; :meth:`ResultStore.load`
-still reads those flat entries and opportunistically migrates them into
-their shard with an atomic rename, so upgrading never discards warm
-results.
+
+One reader decides what a stored entry is: ok (with its result),
+missing, stale (another schema tag) or corrupt. :meth:`ResultStore.load`,
+:meth:`ResultStore.gc` and :meth:`ResultStore.verify` all classify
+through it, so they never disagree about an entry.
 
 Durability and concurrency, which many writers on many hosts require:
 
@@ -32,8 +33,9 @@ Durability and concurrency, which many writers on many hosts require:
 
 ``repro cache {stats,gc,verify}`` exposes :meth:`ResultStore.stats`,
 :meth:`ResultStore.gc` (orphaned temp files, quarantined debris, stale
-schemas, optional age expiry) and :meth:`ResultStore.verify` (full scan
-with optional per-entry fingerprints for byte-identity comparisons).
+and corrupt entries, optional age expiry) and :meth:`ResultStore.verify`
+(full scan with optional per-entry fingerprints for byte-identity
+comparisons).
 
 The (de)serialization of entries stays in :mod:`repro.experiments.common`
 (``serialize_result`` / ``deserialize_result`` / ``CACHE_SCHEMA``) and is
@@ -56,6 +58,9 @@ _LOG = logging.getLogger("repro.sim.store")
 
 #: Counter names tracked per process (all store roots combined).
 COUNTER_NAMES = ("hits", "misses", "stale", "stores", "quarantined", "evicted")
+
+#: The classes :meth:`ResultStore._read` sorts an entry into.
+OK, MISSING, STALE, CORRUPT = "ok", "missing", "stale", "corrupt"
 
 _COUNTER_LOCK = threading.Lock()
 _COUNTERS: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
@@ -92,11 +97,8 @@ def reset_counters() -> None:
 
 
 def key_digest(key: str) -> str:
-    """The content address of one cache key (24 hex chars of sha256).
-
-    Unchanged from the pre-sharding flat layout, so promoting a store to
-    the sharded tree is purely a path change — no entry is re-keyed.
-    """
+    """The content address of one cache key (24 hex chars of sha256):
+    the entry's file name, and its first four hex chars its shard."""
 
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
@@ -136,81 +138,57 @@ class ResultStore:
         digest = key_digest(key)
         return os.path.join(self.root, digest[:2], digest[2:4], f"{digest}.json")
 
-    def legacy_path_for(self, key: str) -> str:
-        """Where the pre-sharding flat layout kept this entry."""
-
-        return os.path.join(self.root, f"{key_digest(key)}.json")
-
     # -- read / write ------------------------------------------------------
 
     def load(self, key: str):
         """The stored :class:`~repro.sim.results.SimResult` for ``key``,
         or ``None`` (absent, stale schema, or quarantined-as-corrupt)."""
 
+        path = self.path_for(key)
+        status, value = self._read(path)
+        if status == OK:
+            _count("hits")
+            return value
+        if status == STALE:
+            # Re-simulate and let the fresh result overwrite it in place.
+            _LOG.warning("cache file %s has %s; re-simulating", path, value)
+            _count("stale")
+        elif status == CORRUPT:
+            self.quarantine(path, f"corrupt ({value})")
+        _count("misses")
+        return None
+
+    def _read(self, path: str) -> Tuple[str, object]:
+        """Open the entry at ``path`` and classify it.
+
+        Returns ``(OK, result)``; ``(MISSING, None)`` when there is no
+        such file (or a concurrent quarantine or gc took it first);
+        ``(STALE, why)`` for another schema tag, including none; or
+        ``(CORRUPT, why)`` for unreadable bytes, invalid JSON, a
+        non-object, or the current tag over malformed fields.
+        """
+
+        # Imported per call, not at module level: ``common`` imports this
+        # module, and a wrapper installed on ``deserialize_result`` (the
+        # perfbench trace) must see every read.
         from repro.experiments.common import CACHE_SCHEMA, deserialize_result
 
-        path = self.path_for(key)
-        if not os.path.exists(path):
-            path = self._migrate_legacy(key, path)
-            if path is None:
-                _count("misses")
-                return None
         try:
             with open(path) as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            # Raced a concurrent quarantine/gc: treat as a plain miss.
-            _count("misses")
-            return None
+            return MISSING, None
         except (OSError, ValueError):
-            self.quarantine(path, "corrupt (unreadable or invalid JSON)")
-            _count("misses")
-            return None
+            return CORRUPT, "unreadable or invalid JSON"
         if not isinstance(payload, dict):
-            self.quarantine(path, "corrupt (not a JSON object)")
-            _count("misses")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            # A stale (pre-versioning or different-version) payload:
-            # re-simulate and let the fresh result overwrite it in place.
-            _LOG.warning(
-                "cache file %s has schema %r (want %r); re-simulating",
-                path,
-                payload.get("schema"),
-                CACHE_SCHEMA,
-            )
-            _count("stale")
-            _count("misses")
-            return None
+            return CORRUPT, "not a JSON object"
+        schema = payload.get("schema")
+        if schema != CACHE_SCHEMA:
+            return STALE, f"schema {schema!r} (want {CACHE_SCHEMA!r})"
         try:
-            result = deserialize_result(payload)
-        except (KeyError, TypeError):
-            self.quarantine(path, "corrupt (schema tag valid but fields malformed)")
-            _count("misses")
-            return None
-        _count("hits")
-        return result
-
-    def _migrate_legacy(self, key: str, sharded_path: str) -> Optional[str]:
-        """Move a flat-layout entry into its shard; the readable path, or
-        ``None`` when the entry exists in neither layout."""
-
-        legacy = self.legacy_path_for(key)
-        if not os.path.exists(legacy):
-            return None
-        os.makedirs(os.path.dirname(sharded_path), exist_ok=True)
-        try:
-            os.replace(legacy, sharded_path)
-        except FileNotFoundError:
-            # A concurrent reader migrated it first; fall through to
-            # whichever path exists now.
-            pass
-        except OSError:
-            # Can't migrate (permissions, cross-device…): read in place.
-            return legacy
-        if os.path.exists(sharded_path):
-            return sharded_path
-        return legacy if os.path.exists(legacy) else None
+            return OK, deserialize_result(payload)
+        except (AttributeError, KeyError, TypeError):
+            return CORRUPT, "schema tag valid but fields malformed"
 
     def store(self, key: str, result) -> None:
         """Durably publish ``result`` under ``key`` (atomic overwrite)."""
@@ -280,7 +258,8 @@ class ResultStore:
             yield dirpath, filenames
 
     def scan(self) -> Iterator[str]:
-        """Paths of every published entry (flat and sharded layouts)."""
+        """Paths of every published entry (``.json`` files anywhere under
+        the root, sorted within each directory)."""
 
         for dirpath, filenames in self._walk():
             for name in sorted(filenames):
@@ -304,12 +283,9 @@ class ResultStore:
         """Scan-based shape of the store plus the process counters."""
 
         entries = 0
-        legacy_entries = 0
         total_bytes = 0
         for path in self.scan():
             entries += 1
-            if os.path.dirname(path) == self.root.rstrip(os.sep):
-                legacy_entries += 1
             try:
                 total_bytes += os.path.getsize(path)
             except OSError:
@@ -318,7 +294,6 @@ class ResultStore:
         return {
             "root": self.root,
             "entries": entries,
-            "legacy_flat_entries": legacy_entries,
             "total_bytes": total_bytes,
             "tmp_files": len(tmp_files),
             "quarantined_files": len(corrupt),
@@ -333,12 +308,11 @@ class ResultStore:
     ) -> Dict:
         """Sweep debris: orphaned temp files older than ``tmp_grace_s``
         (a live writer holds its temp file for milliseconds), quarantined
-        ``.corrupt`` files, stale-schema entries, and — when ``max_age_s``
-        is given — entries older than that. Empty shard directories are
-        pruned. Returns what was (or would be, with ``dry_run``) removed.
+        ``.corrupt`` files, entries :meth:`_read` calls stale or corrupt
+        (counted under those buckets), and — when ``max_age_s`` is given —
+        ok entries older than that. Empty shard directories are pruned.
+        Returns what was (or would be, with ``dry_run``) removed.
         """
-
-        from repro.experiments.common import CACHE_SCHEMA
 
         now = time.time()
         removed = {"tmp": 0, "corrupt": 0, "stale": 0, "expired": 0, "dirs": 0}
@@ -365,16 +339,11 @@ class ResultStore:
         for path in corrupt:
             _remove(path, "corrupt")
         for path in self.scan():
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                schema = payload.get("schema") if isinstance(payload, dict) else None
-            except (OSError, ValueError):
-                schema = None
-            if schema != CACHE_SCHEMA:
-                _remove(path, "stale")
+            status, _ = self._read(path)
+            if status in (STALE, CORRUPT):
+                _remove(path, status)
                 continue
-            if max_age_s is not None:
+            if status == OK and max_age_s is not None:
                 try:
                     age = now - os.path.getmtime(path)
                 except OSError:
@@ -405,46 +374,30 @@ class ResultStore:
         comparisons between two stores (the CI remote-executor smoke
         diffs these between a remote-run and a serial-run store)."""
 
-        from repro.experiments.common import (
-            CACHE_SCHEMA,
-            deserialize_result,
-            result_fingerprint,
-        )
+        from repro.experiments.common import result_fingerprint
 
         checked = 0
         ok = 0
-        stale: List[str] = []
-        corrupt: List[str] = []
+        listed: Dict[str, List[str]] = {STALE: [], CORRUPT: []}
         prints: List[Tuple[str, str]] = []
         for path in self.scan():
+            status, value = self._read(path)
+            if status == MISSING:
+                continue
             checked += 1
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                corrupt.append(path)
-                continue
-            if not isinstance(payload, dict):
-                corrupt.append(path)
-                continue
-            if payload.get("schema") != CACHE_SCHEMA:
-                stale.append(path)
-                continue
-            try:
-                result = deserialize_result(payload)
-            except (KeyError, TypeError):
-                corrupt.append(path)
+            if status != OK:
+                listed[status].append(path)
                 continue
             ok += 1
             if fingerprints:
                 digest = os.path.basename(path)[: -len(".json")]
-                prints.append((digest, result_fingerprint(result)))
+                prints.append((digest, result_fingerprint(value)))
         report: Dict = {
             "root": self.root,
             "checked": checked,
             "ok": ok,
-            "stale": sorted(stale),
-            "corrupt": sorted(corrupt),
+            "stale": sorted(listed[STALE]),
+            "corrupt": sorted(listed[CORRUPT]),
         }
         if fingerprints:
             report["fingerprints"] = sorted(prints)

@@ -165,50 +165,39 @@ class GPUSystem:
     def run(self, app: AppSpec) -> SimResult:
         """Simulate ``app`` end-to-end (all kernel launches, in order)."""
 
+        return self._run_apps([app], [self.dispatcher])[0]
+
+    def _run_apps(
+        self, apps: List[AppSpec], dispatchers: List[WorkGroupDispatcher]
+    ) -> List[SimResult]:
+        """Run each app's kernel sequence through its own dispatcher on
+        one scheduler; one :class:`SimResult` per app."""
+
+        scheduler = WaveScheduler()
         app_snapshot = self.stats.snapshot()
-        kernel_results: List[KernelResult] = []
-        invocation_counts: Dict[str, int] = {}
-        now = 0
-
-        for index, kernel in enumerate(app.kernels):
-            if index > 0:
-                same = kernel.name == app.kernels[index - 1].name
-                for icache in self.icaches:
-                    icache.on_kernel_boundary(same)
-                now += KERNEL_LAUNCH_OVERHEAD
-            invocation = invocation_counts.get(kernel.name, 0)
-            invocation_counts[kernel.name] = invocation + 1
-
-            snapshot = self.stats.snapshot()
-            scheduler = WaveScheduler()
-            scheduler.now = now
-            self.dispatcher.start_kernel(
-                app.name, kernel, invocation, self._code_base(kernel.name),
-                scheduler, now,
-            )
-            end = scheduler.run()
-            kernel_results.append(
-                KernelResult(
-                    kernel_name=kernel.name,
-                    invocation=invocation,
-                    start_cycle=now,
-                    end_cycle=end,
-                    counters=self.stats.delta_since(snapshot),
-                )
-            )
-            now = end
+        progresses = []
+        for app, dispatcher in zip(apps, dispatchers):
+            progress = _AppProgress(self, app, dispatcher, scheduler)
+            dispatcher.on_kernel_complete = progress.kernel_completed
+            progresses.append(progress)
+        for progress in progresses:
+            progress.launch_next(0)
+        scheduler.run()
 
         counters = self.stats.delta_since(app_snapshot)
-        cycles = now
-        self._finalize_counters(counters, cycles)
-        return SimResult(
-            app_name=app.name,
-            scheme=self.config.scheme.value,
-            cycles=cycles,
-            counters=counters,
-            kernels=kernel_results,
-            distributions=self._collect_distributions(),
-        )
+        total_cycles = max(progress.finished_at for progress in progresses)
+        self._finalize_counters(counters, total_cycles)
+        return [
+            SimResult(
+                app_name=progress.app.name,
+                scheme=self.config.scheme.value,
+                cycles=progress.finished_at,
+                counters=dict(counters),
+                kernels=progress.kernel_results,
+                distributions=self._collect_distributions(progress.dispatcher),
+            )
+            for progress in progresses
+        ]
 
     def _finalize_counters(self, counters: Dict[str, float], cycles: int) -> None:
         breakdown = self.energy_model.estimate(self.stats, cycles)
@@ -235,9 +224,9 @@ class GPUSystem:
             self.config.icache.num_lines * len(self.icaches)
         )
 
-    def _collect_distributions(self):
+    def _collect_distributions(self, dispatcher: WorkGroupDispatcher):
         distributions = {
-            "lds_bytes_per_wg": self.dispatcher.lds_request_bytes.box_stats(),
+            "lds_bytes_per_wg": dispatcher.lds_request_bytes.box_stats(),
             "walk_latency": self.iommu.walker.walk_latency.box_stats(),
             "walk_queue_delay": self.iommu.queue_delay.box_stats(),
         }
@@ -273,9 +262,12 @@ class GPUSystem:
         Returns one :class:`SimResult` per application; ``cycles`` is the
         application's own completion time. Counters are system-wide
         (structures are shared), so per-app counter attribution is limited
-        to what the CU partitioning itself separates — but each result
-        carries its *own* counters dict (and distributions), so mutating
-        one result can never alias into another.
+        to what the CU partitioning itself separates: an app's counters
+        and each of its kernels' counters are system-wide deltas over the
+        app's and the kernel's window. Its ``lds_bytes_per_wg`` samples
+        only its own work-groups. Each result carries its *own* counters
+        dict (and distributions), so mutating one result can never alias
+        into another.
         """
 
         if len(apps) != len(cu_partitions):
@@ -291,37 +283,13 @@ class GPUSystem:
                     raise ValueError(f"no such CU {cu_id}")
                 seen.add(cu_id)
 
-        scheduler = WaveScheduler()
-        app_snapshot = self.stats.snapshot()
-        progresses = []
-        for vmid, (app, partition) in enumerate(zip(apps, cu_partitions)):
+        dispatchers = []
+        for vmid, partition in enumerate(cu_partitions):
             cus = [self.cus[cu_id] for cu_id in partition]
             for cu in cus:
                 cu.translation.vmid = vmid
-            dispatcher = WorkGroupDispatcher(cus, stats=self.stats)
-            progress = _AppProgress(self, app, dispatcher, scheduler)
-            dispatcher.on_kernel_complete = progress.kernel_completed
-            progresses.append(progress)
-
-        for progress in progresses:
-            progress.launch_next(0)
-        scheduler.run()
-
-        counters = self.stats.delta_since(app_snapshot)
-        total_cycles = max(progress.finished_at for progress in progresses)
-        self._finalize_counters(counters, total_cycles)
-        distributions = self._collect_distributions()
-        return [
-            SimResult(
-                app_name=progress.app.name,
-                scheme=self.config.scheme.value,
-                cycles=progress.finished_at,
-                counters=dict(counters),
-                kernels=progress.kernel_results,
-                distributions=dict(distributions),
-            )
-            for progress in progresses
-        ]
+            dispatchers.append(WorkGroupDispatcher(cus, stats=self.stats))
+        return self._run_apps(apps, dispatchers)
 
     def shootdown(self, vpn: int) -> int:
         """GPU-wide TLB shootdown including the reconfigurable structures
@@ -399,7 +367,8 @@ class GPUSystem:
 
 
 class _AppProgress:
-    """Drives one application's kernel sequence in concurrent mode."""
+    """Drives one application's kernel sequence: each kernel launches
+    from the completion of the one before it."""
 
     def __init__(self, system: GPUSystem, app: AppSpec, dispatcher, scheduler) -> None:
         self.system = system
@@ -411,6 +380,7 @@ class _AppProgress:
         self.kernel_results: List[KernelResult] = []
         self._invocations: Dict[str, int] = {}
         self._kernel_started_at = 0
+        self._kernel_snapshot: Dict[str, float] = {}
         # The I-caches this app's partition fetches through (a group's
         # I-cache may be shared with a neighbouring partition; the
         # kernel-boundary flush then affects co-resident lines exactly as
@@ -426,6 +396,7 @@ class _AppProgress:
         self._invocations[kernel.name] = invocation + 1
         self.next_kernel += 1
         self._kernel_started_at = now
+        self._kernel_snapshot = self.system.stats.snapshot()
         self.dispatcher.start_kernel(
             self.app.name,
             kernel,
@@ -443,13 +414,13 @@ class _AppProgress:
                 invocation=self._invocations[kernel.name] - 1,
                 start_cycle=self._kernel_started_at,
                 end_cycle=now,
+                counters=self.system.stats.delta_since(self._kernel_snapshot),
             )
         )
         if self.next_kernel < len(self.app.kernels):
-            # Mirror GPUSystem.run's inter-kernel step: fire the Section
-            # 4.3.3 kernel-boundary I-cache hook (the flush policy was
-            # silently inert in concurrent mode before this) on this
-            # app's I-caches, then launch after the host-side overhead.
+            # The inter-kernel step: fire the Section 4.3.3 kernel-boundary
+            # I-cache hook on this app's I-caches, then launch after the
+            # host-side overhead.
             same = self.app.kernels[self.next_kernel].name == kernel.name
             for icache in self.icaches:
                 icache.on_kernel_boundary(same)

@@ -51,6 +51,17 @@ class TestDispatch:
         with pytest.raises(ValueError):
             dispatch_only(system, kernel)
 
+    def test_oversized_workgroup_rejected(self, config):
+        # Regression: a work-group wider than a CU's wave slots never
+        # dispatched, so GPUSystem.run returned without error.
+        system = GPUSystem(config)
+        wide = make_tiny_kernel(waves_per_workgroup=config.gpu.max_waves_per_cu + 1)
+        with pytest.raises(ValueError, match="wave slots"):
+            dispatch_only(system, wide)
+        app = AppSpec(name="wide", kernels=(make_tiny_kernel(), wide))
+        with pytest.raises(ValueError, match="wave slots"):
+            GPUSystem(config).run(app)
+
     def test_lds_request_distribution_sampled(self, config):
         system = GPUSystem(config)
         kernel = make_tiny_kernel(num_workgroups=4, lds_bytes=2048)

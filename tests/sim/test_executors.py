@@ -59,11 +59,10 @@ BACKENDS = ("serial", "pool", "remote")
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Memory-only cache, no inherited executor/fault env."""
+    """Memory-only cache, no inherited fault env."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
     for name in (
-        "REPRO_EXECUTOR",
         "REPRO_FAULT_SPEC",
         "REPRO_TIMEOUT",
         "REPRO_MAX_RETRIES",
@@ -113,10 +112,6 @@ class TestExecutorSelection:
     def test_remote_string_needs_coordinator(self):
         with pytest.raises(ValueError, match="coordinator"):
             SweepRunner(executor="remote")
-
-    def test_env_selector_picked_up(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        assert SweepRunner().executor == "serial"
 
     def test_default_is_pool(self):
         assert SweepRunner().executor == "pool"

@@ -2,10 +2,11 @@
 
 The store is the single cache implementation behind
 ``repro.experiments.common`` and every executor backend, so these tests
-pin its contracts directly: the sharded layout and legacy-flat migration,
-crash durability (a killed writer can orphan a temp file but never
-publish a truncated entry), the two-process quarantine race, garbage
-collection, verification, and the process-wide counters.
+pin its contracts directly: the sharded layout, crash durability (a
+killed writer can orphan a temp file but never publish a truncated
+entry), the two-process quarantine race, garbage collection,
+verification, the one entry classification that load, gc and verify
+share, and the process-wide counters.
 """
 
 import json
@@ -70,21 +71,9 @@ class TestLayout:
         assert common.result_fingerprint(loaded) == common.result_fingerprint(result)
 
     def test_digest_unchanged_from_flat_layout(self):
-        # Promoting a store to the sharded tree must not re-key entries.
-        assert os.path.basename(store_mod.ResultStore("/x").legacy_path_for(KEY)) \
-            == f"{key_digest(KEY)}.json"
-
-    def test_legacy_flat_entry_migrates_on_load(self, store, result):
-        # Simulate a pre-sharding store: entry sits flat in the root.
-        os.makedirs(store.root, exist_ok=True)
-        with open(store.legacy_path_for(KEY), "w") as handle:
-            json.dump(common.serialize_result(result), handle)
-
-        loaded = store.load(KEY)
-
-        assert common.result_fingerprint(loaded) == common.result_fingerprint(result)
-        assert not os.path.exists(store.legacy_path_for(KEY))
-        assert os.path.exists(store.path_for(KEY))
+        # The content address every existing store was written under: a
+        # changed digest would orphan every warm entry.
+        assert key_digest("GUPS|0.05|0123456789abcdef") == "74fd6c62bdfce3ee1ac5110d"
 
     def test_missing_entry_is_a_miss(self, store):
         assert store.load(KEY) is None
@@ -301,6 +290,72 @@ class TestVerify:
         assert len(mine) == 2
 
 
+#: Damaged entry text made from a valid entry's text, and the class that
+#: load, gc and verify must all give it.
+PLANTED = {
+    "truncated-json": (lambda text: text[: len(text) // 2], "corrupt"),
+    "json-array": (lambda text: "[1, 2, 3]", "corrupt"),
+    "other-schema": (
+        lambda text: json.dumps(dict(json.loads(text), schema="repro-simresult-v0")),
+        "stale",
+    ),
+    "current-schema-no-cycles": (
+        lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "cycles"}
+        ),
+        "corrupt",
+    ),
+    "current-schema-list-distributions": (
+        lambda text: json.dumps(dict(json.loads(text), distributions=[])),
+        "corrupt",
+    ),
+}
+
+
+class TestOneClassification:
+    """load, gc and verify agree on what a stored entry is."""
+
+    @pytest.fixture(params=sorted(PLANTED))
+    def planted(self, request, store, result):
+        make_text, expected = PLANTED[request.param]
+        store.store(KEY, result)
+        path = store.path_for(KEY)
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(make_text(text))
+        return path, expected
+
+    def test_verify_lists_what_gc_removes(self, store, planted):
+        path, expected = planted
+        outcome = store.verify()
+        assert outcome["ok"] == 0
+        assert outcome[expected] == [path]
+
+        removed = store.gc()
+
+        assert removed[expected] == 1
+        assert sum(removed[bucket] for bucket in ("stale", "corrupt", "expired")) == 1
+        assert not os.path.exists(path)
+        after = store.verify()
+        assert after["checked"] == 0 and not after["stale"] and not after["corrupt"]
+
+    def test_load_misses_and_quarantines_only_corrupt(self, store, planted):
+        path, expected = planted
+
+        assert store.load(KEY) is None
+
+        counters = store_mod.counters_snapshot()
+        _, quarantined = store.scan_debris()
+        assert counters["misses"] == 1 and counters["hits"] == 0
+        if expected == "corrupt":
+            assert len(quarantined) == 1 and counters["quarantined"] == 1
+            assert not os.path.exists(path)
+        else:
+            assert not quarantined and counters["stale"] == 1
+            assert os.path.exists(path)
+
+
 class TestCounters:
     def test_load_store_counters(self, store, result):
         store.load(KEY)
@@ -323,6 +378,5 @@ class TestCounters:
         store.store(KEY, result)
         stats = store.stats()
         assert stats["entries"] == 1
-        assert stats["legacy_flat_entries"] == 0
         assert stats["total_bytes"] > 0
         assert stats["counters"]["stores"] == 1

@@ -115,6 +115,30 @@ class TestConcurrentExecution:
         assert results[0].distributions is not results[1].distributions
         assert results[0].distributions.keys() == results[1].distributions.keys()
 
+    def test_concurrent_results_carry_kernel_counters_and_own_lds_samples(self):
+        # Regression: concurrent results carried empty per-kernel counters,
+        # and read lds_bytes_per_wg from the system-wide dispatcher, which
+        # concurrent mode never uses, so it was None.
+        apps = [
+            make_tiny_app("lds", kernels=2, lds_bytes=512),
+            make_tiny_app("plain", kernels=2),
+        ]
+        results = GPUSystem(table1_config()).run_concurrent(
+            apps, [[0, 1, 2, 3], [4, 5, 6, 7]]
+        )
+        for result in results:
+            assert all(kernel.counters for kernel in result.kernels)
+            assert all(
+                kernel.counters["dispatcher.workgroups"] > 0
+                for kernel in result.kernels
+            )
+        alone = GPUSystem(table1_config()).run(apps[0])
+        lds_samples = results[0].distributions["lds_bytes_per_wg"]
+        assert lds_samples is not None
+        assert lds_samples == alone.distributions["lds_bytes_per_wg"]
+        assert lds_samples.count == 8 and lds_samples.minimum == 512
+        assert results[1].distributions["lds_bytes_per_wg"].maximum == 0
+
     def test_kernel_boundary_hook_fires_per_app(self):
         # Regression: concurrent mode never fired the Section 4.3.3
         # kernel-boundary I-cache hook between an app's kernels.
