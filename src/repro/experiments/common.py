@@ -5,8 +5,10 @@
   one ``repro report`` simulates each distinct job once.
 - ``cache_key``: one job's identity. Each configuration's signature is
   derived once per process, in a bounded memo keyed by its ``repr``.
-- ``simulate``: one job against an explicit store, never the memo (the
-  body of every sweep attempt); ``run_app``: the memoized call.
+- ``simulate``: one job on a fresh system, no memo and no store (the body
+  of every sweep attempt); ``lookup`` and ``remember``: the memo-then-store
+  read and the memo-and-store write, shared by the sweep runner and
+  ``run_app``, the memoized call.
 - ``Grid``: one figure's app × arm grid, declared once. Its ``jobs`` are
   the figure's ``sweep_jobs*``; its ``sweep`` runs them through the sweep
   runner and hands the row loop a :class:`Cells` lookup plus the
@@ -177,46 +179,50 @@ def result_fingerprint(result: SimResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def simulate(
-    app_name: str,
-    config: SystemConfig,
-    scale: float,
-    store: Optional[ResultStore],
-) -> SimResult:
-    """One job against an explicit ``store``: served from it when the
-    entry is there, else simulated on a fresh system and written to it.
-    Never touches the in-process memo; ``store=None`` always simulates."""
+def simulate(app_name: str, config: SystemConfig, scale: float) -> SimResult:
+    """One job simulated on a fresh system; reads and writes no cache."""
 
-    key = _cache_key(app_name, config, scale)
-    cached = store.load(key) if store is not None else None
-    if cached is not None:
-        return cached
     app = make_app(app_name, scale=scale, page_size=config.page_size)
-    result = GPUSystem(config).run(app)
+    return GPUSystem(config).run(app)
+
+
+def lookup(key: str, store: Optional[ResultStore]) -> Optional[SimResult]:
+    """The result for ``key`` from the process memo, else from ``store``
+    (memoizing what it finds), else ``None``."""
+
+    result = _CACHE.get(key)
+    if result is None and store is not None:
+        result = store.load(key)
+        if result is not None:
+            _CACHE[key] = result
+    return result
+
+
+def remember(key: str, result: SimResult, store: Optional[ResultStore]) -> None:
+    """Memoize a freshly simulated ``result`` and write it to ``store``."""
+
+    _CACHE.setdefault(key, result)
     if store is not None:
         store.store(key, result)
-    return result
 
 
 def run_app(
     app_name: str,
     config: Optional[SystemConfig] = None,
     scale: Optional[float] = None,
-    use_cache: bool = True,
 ) -> SimResult:
     """Simulate ``app_name`` under ``config`` (Table 1 baseline by default),
-    memoized in-process and through :func:`default_store` unless
-    ``use_cache`` is off."""
+    memoized in-process and through :func:`default_store`."""
 
     if config is None:
         config = table1_config()
     scale = resolve_scale(scale)
-    if not use_cache:
-        return simulate(app_name, config, scale, None)
     key = _cache_key(app_name, config, scale)
-    result = _CACHE.get(key)
+    store = default_store()
+    result = lookup(key, store)
     if result is None:
-        result = _CACHE[key] = simulate(app_name, config, scale, default_store())
+        result = simulate(app_name, config, scale)
+        remember(key, result, store)
     return result
 
 

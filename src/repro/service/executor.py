@@ -38,7 +38,6 @@ from typing import Dict, Optional
 from repro.sim.executors.base import FaultHook
 from repro.sim.executors.local import PoolExecutor
 from repro.sim.runner import SweepJob, WorkerOutcome, default_workers
-from repro.sim.store import ResultStore
 
 DEFAULT_IDLE_TIMEOUT_S = 60.0
 
@@ -109,14 +108,13 @@ class SharedProcessPool(PoolExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
     ) -> WorkerOutcome:
         with self._cond:
             self._check_open()
-        return super().run_isolated(job, store, attempt, fault, timeout)
+        return super().run_isolated(job, attempt, fault, timeout)
 
     # -- idle eviction / lifecycle -----------------------------------------
 

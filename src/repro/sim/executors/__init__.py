@@ -3,10 +3,9 @@
 :class:`~repro.sim.runner.SweepRunner` drives one
 :class:`~repro.sim.executors.base.SweepExecutor` per sweep through one
 collection loop; the backend decides where attempts execute, the runner
-keeps dedup, retries, timeouts, crash attribution, and reporting. Every
-backend runs the same attempt function,
-:func:`~repro.sim.runner.run_attempt`, against the store the runner
-passes to ``submit``:
+keeps dedup, retries, timeouts, crash attribution, reporting, and every
+read and write of the result store. Every backend runs the same attempt
+function, :func:`~repro.sim.runner.run_attempt`, which only simulates:
 
 - ``serial`` (:class:`SerialExecutor`) — inline in the runner's process.
 - ``pool`` (:class:`PoolExecutor`) — a private local ``ProcessPoolExecutor``
@@ -22,7 +21,7 @@ All of them produce byte-identical results for the same grid
 and share the runner's failure semantics.
 """
 
-from repro.sim.executors.base import EXECUTOR_NAMES, SweepExecutor
+from repro.sim.executors.base import SweepExecutor
 from repro.sim.executors.local import PoolExecutor, SerialExecutor
 from repro.sim.executors.remote import (
     Coordinator,
@@ -32,7 +31,6 @@ from repro.sim.executors.remote import (
 )
 
 __all__ = [
-    "EXECUTOR_NAMES",
     "SweepExecutor",
     "SerialExecutor",
     "PoolExecutor",
@@ -41,9 +39,3 @@ __all__ = [
     "WorkerFleet",
     "worker_main",
 ]
-
-
-def executor_names():
-    """The valid ``--executor`` selector values."""
-
-    return list(EXECUTOR_NAMES)

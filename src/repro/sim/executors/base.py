@@ -4,10 +4,10 @@ drives.
 An executor owns *where* simulation attempts run — in-process, on a local
 process pool (private per sweep, or the service's shared one), or on
 remote worker processes — while the runner keeps owning *what* runs:
-dedup, retries with backoff, per-job timeouts, crash attribution, and
-report assembly. Every backend runs the same attempt,
-:func:`~repro.sim.runner.run_attempt`, against the store the runner hands
-to :meth:`submit`, and one collection loop drives them all:
+dedup, retries with backoff, per-job timeouts, crash attribution, report
+assembly, and every read and write of the result store. Every backend
+runs the same attempt, :func:`~repro.sim.runner.run_attempt`, which only
+simulates, and one collection loop drives them all:
 
 - :meth:`acquire` prepares the backend for one sweep (a shared pool takes
   its lease here) and :meth:`close` ends it (releasing the lease).
@@ -29,20 +29,12 @@ from concurrent.futures import Future
 from typing import Callable, Optional
 
 from repro.sim.runner import SweepJob, WorkerOutcome
-from repro.sim.store import ResultStore
-
-#: The selector vocabulary (``SweepRunner(executor=...)``, CLI
-#: ``--executor``).
-EXECUTOR_NAMES = ("serial", "pool", "remote")
 
 FaultHook = Optional[Callable[[SweepJob, int], None]]
 
 
 class SweepExecutor:
     """Abstract backend executing simulation attempts for one sweep."""
-
-    #: Selector name of the backend (informational).
-    name = "abstract"
 
     def acquire(self, workers: int) -> int:
         """Prepare the backend for a sweep that wants up to ``workers``
@@ -54,14 +46,10 @@ class SweepExecutor:
         raise NotImplementedError
 
     def submit(
-        self,
-        job: SweepJob,
-        store: Optional[ResultStore],
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
-        """Start one :func:`~repro.sim.runner.run_attempt` of ``job``
-        against ``store``; the future resolves to its
+        """Start one :func:`~repro.sim.runner.run_attempt` of ``job``;
+        the future resolves to its
         :class:`~repro.sim.runner.WorkerOutcome` or raises. May raise
         ``BrokenProcessPool``/``RuntimeError`` when the backend is broken
         at submission time (the runner recycles and re-submits)."""
@@ -82,7 +70,6 @@ class SweepExecutor:
     def run_isolated(
         self,
         job: SweepJob,
-        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -94,4 +81,4 @@ class SweepExecutor:
         (disposition ``"timeout"``), or the job's own exception. By
         default one plain attempt through :meth:`submit`."""
 
-        return self.submit(job, store, attempt, fault).result(timeout=timeout)
+        return self.submit(job, attempt, fault).result(timeout=timeout)

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
 from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
-from repro.sim.store import ResultStore
 
 
 class SerialExecutor(SweepExecutor):
@@ -32,21 +31,15 @@ class SerialExecutor(SweepExecutor):
     isolation fallback is one more inline attempt.
     """
 
-    name = "serial"
-
     def acquire(self, workers: int) -> int:
         return 1
 
     def submit(
-        self,
-        job: SweepJob,
-        store: Optional[ResultStore],
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
         future: "Future[WorkerOutcome]" = Future()
         try:
-            future.set_result(run_attempt(job, store, attempt, fault))
+            future.set_result(run_attempt(job, attempt, fault))
         except Exception as error:
             future.set_exception(error)
         return future
@@ -55,8 +48,6 @@ class SerialExecutor(SweepExecutor):
 class PoolExecutor(SweepExecutor):
     """A local process pool: by default a private one, built by
     :meth:`acquire` at the sweep's width and shut down by :meth:`close`."""
-
-    name = "pool"
 
     def __init__(self) -> None:
         self.max_workers = 0
@@ -68,16 +59,12 @@ class PoolExecutor(SweepExecutor):
         return workers
 
     def submit(
-        self,
-        job: SweepJob,
-        store: Optional[ResultStore],
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
         pool = self._pool
         if pool is None:
             raise RuntimeError("the pool executor is closed")
-        return pool.submit(run_attempt, job, store, attempt, fault)
+        return pool.submit(run_attempt, job, attempt, fault)
 
     def recycle(self, reason: str) -> None:
         self._discard()
@@ -95,7 +82,6 @@ class PoolExecutor(SweepExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -104,7 +90,7 @@ class PoolExecutor(SweepExecutor):
         # job kills even its private pool it is the culprit.
         solo = ProcessPoolExecutor(max_workers=1)
         try:
-            future = solo.submit(run_attempt, job, store, attempt, fault)
+            future = solo.submit(run_attempt, job, attempt, fault)
             return future.result(timeout=timeout)
         finally:
             solo.shutdown(wait=False, cancel_futures=True)

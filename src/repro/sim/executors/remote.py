@@ -2,7 +2,7 @@
 
 Topology — one :class:`Coordinator` in the sweep process, N ``repro
 worker --connect HOST:PORT`` processes (any host that can reach the
-coordinator and, for cache sharing, the store directory):
+coordinator):
 
     SweepRunner ── RemoteExecutor ── Coordinator ══socket══ worker pull loop
                                                             └─ run_attempt(...)
@@ -11,7 +11,7 @@ Protocol: length-prefixed pickles (4-byte big-endian size, then a
 pickled tuple) over one long-lived TCP connection per worker:
 
     worker → ("hello", PROTOCOL_VERSION, {"pid": ..., "host": ...})
-    coord  → ("job", task_id, job, store, attempt, fault)
+    coord  → ("job", task_id, job, attempt, fault)
     worker → ("ok", task_id, WorkerOutcome) | ("err", task_id, exception)
     coord  → ("shutdown",)
 
@@ -36,12 +36,13 @@ Fault semantics match the local pool byte-for-byte at the runner level:
   queue behind other tasks.
 
 Results and the store: workers run the one attempt function,
-:func:`~repro.sim.runner.run_attempt`, like every other backend, against
-the :class:`~repro.sim.store.ResultStore` the runner sends (``None`` when
-the sweep has no disk cache; a worker's ``--cache-dir`` re-roots it for
-hosts that mount the shared store elsewhere), so N remote workers populate
-the same content-addressed store entries a serial run would. Workers keep
-no results in memory between jobs.
+:func:`~repro.sim.runner.run_attempt`, like every other backend, and it
+only simulates. The runner looks each job up in the store before it
+submits it and writes each result when it arrives, in its own process,
+so a worker host needs no access to the store, and the sweep's store
+counters are all the runner's. A result that a worker finishes after its
+runner has died or raised is not written. Workers keep no results in
+memory between jobs.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
 from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
-from repro.sim.store import ResultStore
 
 #: Bump whenever a message changes shape, so a worker running other code
 #: is refused at hello instead of unpacking a job wrongly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Worker exit codes (the ``--respawn`` supervisor keys off these).
 EXIT_CLEAN = 0          # shutdown message / coordinator gone: do not respawn
@@ -195,16 +195,12 @@ class Coordinator:
             return len(self._workers)
 
     def submit_task(
-        self,
-        job: SweepJob,
-        store: Optional[ResultStore],
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> _RemoteTask:
         with self._cond:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
-            task = _RemoteTask(next(self._task_ids), (job, store, attempt, fault))
+            task = _RemoteTask(next(self._task_ids), (job, attempt, fault))
             self._live[task.task_id] = task
             self._queue.append(task)
             self._cond.notify_all()
@@ -377,8 +373,6 @@ class RemoteExecutor(SweepExecutor):
     lifecycle.
     """
 
-    name = "remote"
-
     def __init__(
         self,
         coordinator: Optional[Coordinator] = None,
@@ -414,13 +408,9 @@ class RemoteExecutor(SweepExecutor):
         return max(1, min(width, connected))
 
     def submit(
-        self,
-        job: SweepJob,
-        store: Optional[ResultStore],
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
-        return self.coordinator.submit_task(job, store, attempt, fault).future
+        return self.coordinator.submit_task(job, attempt, fault).future
 
     def recycle(self, reason: str) -> None:
         self.coordinator.recycle(reason)
@@ -431,7 +421,6 @@ class RemoteExecutor(SweepExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        store: Optional[ResultStore],
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -439,7 +428,7 @@ class RemoteExecutor(SweepExecutor):
         # The strongest isolation the backend offers: the task runs alone
         # on whichever worker takes it; a disconnect during it raises
         # BrokenProcessPool here, naming the job the crash culprit.
-        task = self.coordinator.submit_task(job, store, attempt, fault)
+        task = self.coordinator.submit_task(job, attempt, fault)
         try:
             return task.future.result(timeout=timeout)
         except BaseException:
@@ -469,17 +458,15 @@ def connect_with_retry(
 
 def worker_main(
     address: str,
-    cache_dir: Optional[str] = None,
     retry_s: float = 15.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
     """The ``repro worker --connect`` pull loop; returns an exit code.
 
-    Runs jobs with the one attempt function (:func:`run_attempt`),
-    against the coordinator-sent store, re-rooted at ``cache_dir`` when
-    given (a host mounting the shared store at a different path). An injected
-    ``crash`` fault kills this process mid-job — the coordinator sees the
-    disconnect and raises ``BrokenProcessPool``, same as a pool crash.
+    Runs jobs with the one attempt function (:func:`run_attempt`), which
+    needs no store. An injected ``crash`` fault kills this process
+    mid-job — the coordinator sees the disconnect and raises
+    ``BrokenProcessPool``, same as a pool crash.
     """
 
     def _log(message: str) -> None:
@@ -509,14 +496,12 @@ def worker_main(
             if message[0] == "shutdown":
                 _log("[worker] shutdown requested; exiting")
                 return EXIT_CLEAN
-            if message[0] != "job" or len(message) != 6:
+            if message[0] != "job" or len(message) != 5:
                 _log(f"[worker] unexpected message {message[:1]!r}")
                 return EXIT_PROTOCOL
-            _kind, task_id, job, store, attempt, fault = message
-            if store is not None and cache_dir:
-                store = ResultStore(cache_dir)
+            _kind, task_id, job, attempt, fault = message
             try:
-                outcome = run_attempt(job, store, attempt, fault)
+                outcome = run_attempt(job, attempt, fault)
                 reply: Tuple = ("ok", task_id, outcome)
             except BaseException as error:
                 reply = ("err", task_id, error)
@@ -538,7 +523,6 @@ def worker_main(
 
 def supervise_worker(
     address: str,
-    cache_dir: Optional[str] = None,
     retry_s: float = 15.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
@@ -550,8 +534,6 @@ def supervise_worker(
         sys.executable, "-m", "repro", "worker",
         "--connect", address, "--retry-s", str(retry_s),
     ]
-    if cache_dir is not None:
-        command += ["--cache-dir", cache_dir]
     while True:
         returncode = subprocess.call(command)
         if returncode in (EXIT_CLEAN, EXIT_CONNECT_FAILED, EXIT_PROTOCOL):
@@ -569,16 +551,9 @@ class WorkerFleet:
     worker count.
     """
 
-    def __init__(
-        self,
-        address: str,
-        count: int = 2,
-        cache_dir: Optional[str] = None,
-        respawn: bool = True,
-    ) -> None:
+    def __init__(self, address: str, count: int = 2, respawn: bool = True) -> None:
         self.address = address
         self.count = count
-        self.cache_dir = cache_dir
         self.respawn = respawn
         self._procs: List[subprocess.Popen] = []
 
@@ -591,8 +566,6 @@ class WorkerFleet:
         command = [sys.executable, "-m", "repro", "worker", "--connect", self.address]
         if self.respawn:
             command.append("--respawn")
-        if self.cache_dir is not None:
-            command += ["--cache-dir", self.cache_dir]
         for _ in range(self.count):
             self._procs.append(
                 subprocess.Popen(

@@ -10,9 +10,8 @@ such a grid:
   (:func:`repro.experiments.common.cache_key`); duplicate submissions and
   already-cached results are never simulated twice.
 - **One attempt, one loop, any backend**: every attempt runs
-  :func:`run_attempt` — fault hook, optional profiler, the simulation
-  against the run's :class:`~repro.sim.store.ResultStore` — wherever it
-  executes, and one collection loop drives every
+  :func:`run_attempt` — fault hook, optional profiler, the simulation —
+  wherever it executes, and one collection loop drives every
   :class:`~repro.sim.executors.base.SweepExecutor` (serial in-process, a
   private or the service's shared process pool, remote workers). Worker
   count comes from the ``jobs`` argument, else ``REPRO_JOBS``, else
@@ -50,11 +49,15 @@ process right before the simulation — or set the ``REPRO_FAULT_SPEC``
 environment variable (see :func:`parse_fault_spec`) to inject exceptions,
 hangs, and hard crashes deterministically.
 
-Caches: the runner resolves one store per run from
+Caches: the runner's process is the only place a sweep reads or writes
+them. It resolves one store per run from
 :func:`repro.experiments.common.default_store` (``REPRO_CACHE_DIR`` /
-``--cache-dir``) and hands it to every attempt; attempts read and write
-that store but never a process memo, and only the runner's own process
-memoizes finished results. Experiment harnesses declare their grid once
+``--cache-dir``), looks each unique job up once (memo, then store), and
+writes each finished result to both from its own process. Attempts only
+simulate, so workers need no access to the store and keep no results,
+and every store counter of a run is counted in the process that reports
+it. A result that a worker finishes after its runner has died or raised
+is not written. Experiment harnesses declare their grid once
 (:class:`repro.experiments.common.Grid`), run it through the runner, and
 assemble rows from the returned results. Each :class:`SweepReport` goes
 to its caller and is held nowhere else, so a long-lived process keeps no
@@ -72,7 +75,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.sim.profiling import (
@@ -84,18 +87,16 @@ from repro.sim.profiling import (
 )
 from repro.sim.results import SimResult
 from repro.sim.stats import _percentile as _linear_percentile
-from repro.sim.store import ResultStore, counters_delta, counters_snapshot
+from repro.sim.store import counters_delta, counters_snapshot
 
 #: Environment variable controlling the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-#: Per-job timeout in seconds (parallel sweeps only).
-TIMEOUT_ENV = "REPRO_TIMEOUT"
-#: Extra attempts granted to a failing job beyond the first.
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-#: "1"/"true" makes terminal failures non-fatal (None placeholders).
-KEEP_GOING_ENV = "REPRO_KEEP_GOING"
 #: Deterministic fault-injection spec (see :func:`parse_fault_spec`).
 FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
+
+#: The executor selector names (``SweepRunner(executor=...)``,
+#: ``repro sweep --executor``).
+EXECUTOR_NAMES = ("serial", "pool", "remote")
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF_S = 0.05
@@ -119,12 +120,6 @@ class SweepJob:
         from repro.experiments.common import cache_key
 
         return cache_key(self.app_name, self.config, self.scale)
-
-
-#: Anything accepted as a job: a :class:`SweepJob` or a plain
-#: ``(app_name, config, scale)`` tuple (config/scale may be ``None`` for
-#: the Table 1 / ``REPRO_SCALE`` defaults).
-JobLike = Union[SweepJob, Tuple[str, Optional[SystemConfig], Optional[float]]]
 
 
 @dataclass
@@ -196,7 +191,8 @@ class SweepReport:
     unique_jobs: int = 0
     cache_hits: int = 0
     jobs_simulated: int = 0
-    workers: int = 1
+    #: The width the executor granted (0 when every job was a cache hit).
+    workers: int = 0
     wall_clock_s: float = 0.0
     retries: int = 0
     timings: List[JobTiming] = field(default_factory=list)
@@ -206,10 +202,9 @@ class SweepReport:
     #: Cross-worker cProfile top-N (empty unless ``profiled``).
     hotspots: List[Hotspot] = field(default_factory=list)
     #: Disk-store counter increments during this sweep (hits, misses,
-    #: stores, quarantined, ...; see :mod:`repro.sim.store`). Counted in
-    #: the runner's process only — pool/remote workers keep their own
-    #: process-wide counters — and empty when the run has no store (no
-    #: disk cache configured, or ``use_cache=False``).
+    #: stores, quarantined, ...; see :mod:`repro.sim.store`), all counted
+    #: in the runner's process, the only one that touches the store; empty
+    #: when no disk cache is configured.
     store: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -373,33 +368,6 @@ def telemetry_rows_from_json(payload: Dict) -> List[Dict]:
     return rows
 
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}")
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-
-
-def _env_flag(name: str) -> Optional[bool]:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return None
-    return raw not in ("0", "false", "no", "off")
-
-
 def default_workers() -> int:
     """Worker count from ``REPRO_JOBS``, else ``os.cpu_count()``."""
 
@@ -515,21 +483,6 @@ def parse_fault_spec(text: str, parent_pid: Optional[int] = None) -> SpecFault:
 # -- job plumbing ------------------------------------------------------------
 
 
-def _normalize(job: JobLike) -> SweepJob:
-    from repro.config import table1_config
-    from repro.experiments.common import DEFAULT_SCALE
-
-    if isinstance(job, SweepJob):
-        app_name, config, scale = job.app_name, job.config, job.scale
-    else:
-        app_name, config, scale = job
-    if config is None:
-        config = table1_config()
-    if scale is None:
-        scale = DEFAULT_SCALE
-    return SweepJob(app_name=app_name, config=config, scale=float(scale))
-
-
 @dataclass
 class WorkerOutcome:
     """Everything a successful simulation attempt reports back.
@@ -547,17 +500,16 @@ class WorkerOutcome:
 
 def run_attempt(
     job: SweepJob,
-    store: Optional[ResultStore],
     attempt: int,
     fault: Optional[Callable[[SweepJob, int], None]],
 ) -> WorkerOutcome:
     """One attempt, the body every backend runs wherever it executes:
-    fault hook, optional profiler, then the job simulated against the
-    runner's ``store`` (``None``: no disk cache, always simulate).
+    fault hook, optional profiler, then
+    :func:`repro.experiments.common.simulate`.
 
-    It never reads or writes the executing process's memo — only the
-    runner's own process memoizes — so long-lived pool workers, service
-    workers and ``repro worker`` processes keep no results.
+    It reads and writes no memo and no store — the runner does both, in
+    its own process — so long-lived pool workers, service workers and
+    ``repro worker`` processes need no store and keep no results.
     """
 
     from repro.experiments import common
@@ -568,7 +520,7 @@ def run_attempt(
     top_n = profile_top()
     profiler = HotspotProfiler(top_n) if top_n else None
     with profiler or contextlib.nullcontext():
-        result = common.simulate(job.app_name, job.config, job.scale, store)
+        result = common.simulate(job.app_name, job.config, job.scale)
     return WorkerOutcome(
         result=result,
         duration_s=time.perf_counter() - started,
@@ -603,25 +555,20 @@ class SweepRunner:
     progress:
         Optional callable receiving human-readable progress lines
         (e.g. ``print``). ``None`` silences progress output.
-    use_cache:
-        When ``False`` every submitted job is re-simulated (duplicates are
-        still collapsed within the one call).
     timeout:
-        Per-job wall-clock budget in seconds (``None`` = unbounded;
-        default from ``REPRO_TIMEOUT``). Enforced on process-backed
-        executors only — a single in-process simulation cannot be
-        preempted.
+        Per-job wall-clock budget in seconds (``None`` = unbounded).
+        Enforced on process-backed executors only — a single in-process
+        simulation cannot be preempted.
     max_retries:
         Extra attempts granted to a failing job beyond the first
-        (default from ``REPRO_MAX_RETRIES``, else 2).
+        (``None`` = 2).
     retry_backoff_s:
         Base of the exponential backoff between attempts (capped at 2s).
     keep_going:
         When ``True``, a terminally failed job becomes a
         :class:`JobFailure` record plus a ``None`` result placeholder and
-        the sweep continues; when ``False`` (default, from
-        ``REPRO_KEEP_GOING``) the first terminal failure raises
-        :class:`SweepAbort`.
+        the sweep continues; when ``False`` (default) the first terminal
+        failure raises :class:`SweepAbort`.
     fault:
         Optional picklable fault-injection hook ``fault(job, attempt)``
         run in the executing process before each simulation attempt.
@@ -643,11 +590,10 @@ class SweepRunner:
         self,
         jobs: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
-        use_cache: bool = True,
         timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         retry_backoff_s: Optional[float] = None,
-        keep_going: Optional[bool] = None,
+        keep_going: bool = False,
         fault: Optional[Callable[[SweepJob, int], None]] = None,
         executor: Union[str, "SweepExecutor"] = "pool",
     ) -> None:
@@ -655,34 +601,25 @@ class SweepRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.workers = jobs if jobs is not None else default_workers()
         self.progress = progress
-        self.use_cache = use_cache
-        self.timeout = timeout if timeout is not None else _env_float(TIMEOUT_ENV)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        resolved_retries = (
-            max_retries if max_retries is not None else _env_int(MAX_RETRIES_ENV)
-        )
-        self.max_retries = (
-            resolved_retries if resolved_retries is not None else DEFAULT_MAX_RETRIES
-        )
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
+        self.timeout = timeout
+        self.max_retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         self.retry_backoff_s = (
             retry_backoff_s if retry_backoff_s is not None else DEFAULT_BACKOFF_S
         )
-        resolved_keep_going = (
-            keep_going if keep_going is not None else _env_flag(KEEP_GOING_ENV)
-        )
-        self.keep_going = bool(resolved_keep_going)
+        self.keep_going = keep_going
         if fault is None:
             spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
             if spec:
                 fault = parse_fault_spec(spec)
         self.fault = fault
         if isinstance(executor, str):
-            if executor not in ("serial", "pool", "remote"):
+            if executor not in EXECUTOR_NAMES:
                 raise ValueError(
-                    f"executor must be one of serial/pool/remote (or a "
+                    f"executor must be one of {'/'.join(EXECUTOR_NAMES)} (or a "
                     f"SweepExecutor instance), got {executor!r}"
                 )
             if executor == "remote":
@@ -698,7 +635,7 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(message)
 
-    def run(self, jobs: Sequence[JobLike]) -> List[Optional[SimResult]]:
+    def run(self, jobs: Sequence[SweepJob]) -> List[Optional[SimResult]]:
         """Run ``jobs``; returns results in submission order.
 
         Failed jobs (only possible with ``keep_going=True``) appear as
@@ -710,36 +647,30 @@ class SweepRunner:
         return results
 
     def run_with_report(
-        self, jobs: Sequence[JobLike]
+        self, jobs: Sequence[SweepJob]
     ) -> Tuple[List[Optional[SimResult]], SweepReport]:
         from repro.experiments import common
 
         started = time.perf_counter()
         store_before = counters_snapshot()
-        # One store per run, handed to every attempt wherever it executes.
-        store = common.default_store() if self.use_cache else None
-        normalized = [_normalize(job) for job in jobs]
+        # One store per run, read and written only by this process.
+        store = common.default_store()
         report = SweepReport(
-            jobs_submitted=len(normalized),
-            workers=self.workers,
-            profiled=bool(profile_top()),
+            jobs_submitted=len(jobs), profiled=bool(profile_top())
         )
         self._hotspot_groups = []
 
         # Deduplicate by cache key, keeping first-submission order.
+        keys = [job.key() for job in jobs]
         unique: Dict[str, SweepJob] = {}
-        keys: List[str] = []
-        for job in normalized:
-            key = job.key()
-            keys.append(key)
-            if key not in unique:
-                unique[key] = job
+        for key, job in zip(keys, jobs):
+            unique.setdefault(key, job)
         report.unique_jobs = len(unique)
 
         resolved: Dict[str, Optional[SimResult]] = {}
         pending: List[_Pending] = []
         for key, job in unique.items():
-            cached = self._probe_cache(common, store, key) if self.use_cache else None
+            cached = common.lookup(key, store)
             if cached is None:
                 pending.append(_Pending(job, key))
                 continue
@@ -759,11 +690,6 @@ class SweepRunner:
 
         try:
             if pending:
-                self._log(
-                    f"[sweep] {len(pending)} job(s) to simulate "
-                    f"({report.cache_hits} cache hit(s)) on "
-                    f"{min(self.workers, len(pending))} worker(s)"
-                )
                 self._collect(common, store, pending, resolved, report)
         finally:
             # Only jobs that finished: an abort or a lost pool leaves some
@@ -798,29 +724,6 @@ class SweepRunner:
             return SerialExecutor()
         return executor
 
-    # -- cache plumbing ----------------------------------------------------
-
-    @staticmethod
-    def _probe_cache(common, store, key: str) -> Optional[SimResult]:
-        cached = common._CACHE.get(key)
-        if cached is None and store is not None:
-            cached = store.load(key)
-            if cached is not None:
-                common._CACHE[key] = cached
-        return cached
-
-    def _absorb(self, common, store, key: str, result: SimResult) -> None:
-        """Fold a finished result into this process's memo and store."""
-
-        if not self.use_cache:
-            return
-        common._CACHE.setdefault(key, result)
-        # The attempt stored the entry from whichever process ran it, so
-        # the file exists by now unless the attempt raced a quarantine —
-        # storing again is an atomic, idempotent overwrite.
-        if store is not None and not os.path.exists(store.path_for(key)):
-            store.store(key, result)
-
     def _backoff_delay(self, failed_attempts: int) -> float:
         if self.retry_backoff_s <= 0:
             return 0.0
@@ -832,20 +735,35 @@ class SweepRunner:
 
     def _collect(self, common, store, pending, resolved, report) -> None:
         """Drive ``pending`` through one executor until every job has
-        succeeded or failed terminally — the one loop for every backend."""
+        succeeded or failed terminally — the one loop for every backend.
+
+        Each finished result is written (memo and store) after the loop's
+        next round of submissions, so the store's fsync overlaps the
+        workers' next jobs, and before this returns or raises.
+        """
 
         executor = self._executor_for(len(pending))
         total, done = len(pending), 0
         queue: deque = deque(pending)
         suspects: List[_Pending] = []
         in_flight: Dict[Future, _Pending] = {}
-        workers = executor.acquire(min(self.workers, total))
+        unwritten: Deque[Tuple[str, SimResult]] = deque()
+        workers = report.workers = executor.acquire(min(self.workers, total))
+        self._log(
+            f"[sweep] {total} job(s) to simulate "
+            f"({report.cache_hits} cache hit(s)) on {workers} worker(s)"
+        )
+
+        def write_finished() -> None:
+            while unwritten:
+                key, result = unwritten.popleft()
+                common.remember(key, result, store)
 
         def succeed(entry: _Pending, outcome: WorkerOutcome) -> None:
             nonlocal done
             done += 1
             resolved[entry.key] = outcome.result
-            self._absorb(common, store, entry.key, outcome.result)
+            unwritten.append((entry.key, outcome.result))
             if outcome.hotspots:
                 self._hotspot_groups.append(outcome.hotspots)
             report.timings.append(
@@ -922,15 +840,14 @@ class SweepRunner:
                         queue.append(entry)
                         continue
                     try:
-                        future = executor.submit(
-                            entry.job, store, entry.attempt, self.fault
-                        )
+                        future = executor.submit(entry.job, entry.attempt, self.fault)
                     except (BrokenProcessPool, RuntimeError):
                         queue.appendleft(entry)
                         recycle("executor broke on submit")
                         break
                     entry.submitted = time.monotonic()
                     in_flight[future] = entry
+                write_finished()
                 if not in_flight:
                     # Everything queued is backing off; sleep to the gate.
                     gate = min(entry.not_before for entry in queue)
@@ -998,7 +915,7 @@ class SweepRunner:
                 self._log(f"[sweep] isolating {entry.label} for crash attribution")
                 try:
                     outcome = executor.run_isolated(
-                        entry.job, store, entry.attempt, self.fault, self.timeout
+                        entry.job, entry.attempt, self.fault, self.timeout
                     )
                 except BrokenProcessPool as error:
                     fail(entry, error, "crash")
@@ -1013,4 +930,5 @@ class SweepRunner:
             # flight — a backend that reuses contexts must not lease
             # that context again.
             executor.close(dirty=bool(in_flight))
+            write_finished()
 

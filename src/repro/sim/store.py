@@ -2,9 +2,9 @@
 
 Simulation results are cached on disk keyed by the experiment cache key
 (:func:`repro.experiments.common.cache_key`), addressed by content
-identity: the file name is the sha256 digest of the key, so any worker
-process, remote worker host, or service replica that computes the same
-``(app, config, scale)`` simulation reads and writes the same entry.
+identity: the file name is the sha256 digest of the key, so any sweep
+runner, service or host that runs the same ``(app, config, scale)``
+simulation reads and writes the same entry.
 
 Layout: a sharded two-level directory tree,
 
@@ -14,9 +14,11 @@ which keeps directory fan-out bounded when millions of entries share one
 store (a flat directory degrades most filesystems long before that).
 
 One reader decides what a stored entry is: ok (with its result),
-missing, stale (another schema tag) or corrupt. :meth:`ResultStore.load`,
-:meth:`ResultStore.gc` and :meth:`ResultStore.verify` all classify
-through it, so they never disagree about an entry.
+missing, stale (another schema tag, or a file outside the sharded
+layout, which :meth:`ResultStore.load` never reads) or corrupt.
+:meth:`ResultStore.load`, :meth:`ResultStore.gc` and
+:meth:`ResultStore.verify` all classify through it, so they never
+disagree about an entry.
 
 Durability and concurrency, which many writers on many hosts require:
 
@@ -28,8 +30,9 @@ Durability and concurrency, which many writers on many hosts require:
   suffix; two processes racing to quarantine the same entry cannot
   collide, and the loser tolerates the winner having already moved it.
 - Module-wide hit/miss/store/quarantine/evict counters (thread-safe, one
-  set per process) are surfaced by ``SweepReport.store``, ``/healthz``
-  and ``repro cache stats``.
+  set per process) count what this process did. A sweep's runner is the
+  only process that reads or writes the store for its run, so
+  ``SweepReport.store`` and the service's ``/healthz`` report them.
 
 ``repro cache {stats,gc,verify}`` exposes :meth:`ResultStore.stats`,
 :meth:`ResultStore.gc` (orphaned temp files, quarantined debris, stale
@@ -122,9 +125,8 @@ class ResultStore:
     """One on-disk result store rooted at ``root``.
 
     Construction is cheap (no I/O); every method tolerates the root not
-    existing yet. All processes sharing ``root`` — pool workers, remote
-    ``repro worker`` hosts, service replicas — interoperate through
-    atomic renames only.
+    existing yet. All processes sharing ``root`` — sweeps, services,
+    ``repro cache`` — interoperate through atomic renames only.
     """
 
     def __init__(self, root: str) -> None:
@@ -135,8 +137,15 @@ class ResultStore:
     # -- paths -------------------------------------------------------------
 
     def path_for(self, key: str) -> str:
-        digest = key_digest(key)
-        return os.path.join(self.root, digest[:2], digest[2:4], f"{digest}.json")
+        return self._sharded(f"{key_digest(key)}.json")
+
+    def _sharded(self, name: str) -> str:
+        return os.path.join(self.root, name[:2], name[2:4], name)
+
+    def _in_layout(self, path: str) -> bool:
+        """Whether ``path`` sits at the sharded path of its own file name."""
+
+        return path == self._sharded(os.path.basename(path))
 
     # -- read / write ------------------------------------------------------
 
@@ -163,9 +172,10 @@ class ResultStore:
 
         Returns ``(OK, result)``; ``(MISSING, None)`` when there is no
         such file (or a concurrent quarantine or gc took it first);
-        ``(STALE, why)`` for another schema tag, including none; or
-        ``(CORRUPT, why)`` for unreadable bytes, invalid JSON, a
-        non-object, or the current tag over malformed fields.
+        ``(STALE, why)`` for a file outside the sharded layout or another
+        schema tag, including none; or ``(CORRUPT, why)`` for unreadable
+        bytes, invalid JSON, a non-object, or the current tag over
+        malformed fields.
         """
 
         # Imported per call, not at module level: ``common`` imports this
@@ -173,6 +183,8 @@ class ResultStore:
         # perfbench trace) must see every read.
         from repro.experiments.common import CACHE_SCHEMA, deserialize_result
 
+        if not self._in_layout(path):
+            return STALE, "a file outside the sharded layout"
         try:
             with open(path) as handle:
                 payload = json.load(handle)
@@ -198,7 +210,7 @@ class ResultStore:
         path = self.path_for(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        # Concurrent writers (pool workers, remote workers, replicas) may
+        # Concurrent writers (two sweeps or services on one root) may
         # store the same key at once: write to a private temp file, fsync
         # it, and atomically replace — readers only ever observe complete
         # payloads, the last writer wins with a fully valid file, and a
@@ -280,11 +292,14 @@ class ResultStore:
         return tmp_files, corrupt
 
     def stats(self) -> Dict:
-        """Scan-based shape of the store plus the process counters."""
+        """Scan-based shape of the store: entries in the sharded layout,
+        their bytes, and the debris :meth:`gc` would consider."""
 
         entries = 0
         total_bytes = 0
         for path in self.scan():
+            if not self._in_layout(path):
+                continue
             entries += 1
             try:
                 total_bytes += os.path.getsize(path)
@@ -297,7 +312,6 @@ class ResultStore:
             "total_bytes": total_bytes,
             "tmp_files": len(tmp_files),
             "quarantined_files": len(corrupt),
-            "counters": counters_snapshot(),
         }
 
     def gc(

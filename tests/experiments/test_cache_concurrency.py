@@ -148,7 +148,7 @@ class TestSchemaVersioning:
 
 class TestConcurrentWriters:
     def test_concurrent_writers_leave_single_valid_file(self, tmp_path):
-        result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
+        result = common.simulate(APP, table1_config(), SCALE)
         key = common.cache_key(APP, table1_config(), SCALE)
         store = common.default_store()
         errors = []
@@ -177,7 +177,7 @@ class TestConcurrentWriters:
     def test_store_is_atomic_under_reader(self, tmp_path):
         """A reader never observes a half-written payload."""
 
-        result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
+        result = common.simulate(APP, table1_config(), SCALE)
         key = common.cache_key(APP, table1_config(), SCALE)
         store = common.default_store()
         store.store(key, result)

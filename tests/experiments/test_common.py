@@ -53,8 +53,8 @@ class TestDiskCache:
 
     def test_no_cache_mode(self):
         common.clear_cache()
-        a = common.run_app("SRAD", table1_config(), scale=0.05, use_cache=False)
-        b = common.run_app("SRAD", table1_config(), scale=0.05, use_cache=False)
+        a = common.simulate("SRAD", table1_config(), 0.05)
+        b = common.simulate("SRAD", table1_config(), 0.05)
         assert a is not b
         assert a.cycles == b.cycles  # but deterministic
 
@@ -107,7 +107,7 @@ class TestGridCells:
 
         calls = []
 
-        def fake_simulate(app_name, config, scale, store):
+        def fake_simulate(app_name, config, scale):
             calls.append(app_name)
             return SimResult(app_name=app_name, scheme=config.scheme.value, cycles=9)
 
@@ -115,7 +115,6 @@ class TestGridCells:
         monkeypatch.setattr(common, "_CACHE_DIR", "")
         monkeypatch.setenv("REPRO_JOBS", "1")
         monkeypatch.setenv("REPRO_FAULT_SPEC", "SRAD:*:exc")
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
         common.clear_cache()
         try:
             grid = common.Grid(["SRAD", "GUPS"], {"baseline": table1_config()})

@@ -24,9 +24,9 @@ class TestShutdown:
         pool.shutdown()
         (job,) = grid("SRAD")
         for operation in (
-            lambda: pool.submit(job, None, 1, None),
+            lambda: pool.submit(job, 1, None),
             lambda: pool.recycle("after shutdown"),
-            lambda: pool.run_isolated(job, None, 1, None, 5.0),
+            lambda: pool.run_isolated(job, 1, None, 5.0),
             lambda: pool.acquire(2),
         ):
             with pytest.raises(RuntimeError, match="closed"):

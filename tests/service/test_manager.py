@@ -230,7 +230,7 @@ class TestFingerprintMemo:
 
         runs = []
 
-        def fake_simulate(app_name, config, scale, store):
+        def fake_simulate(app_name, config, scale):
             runs.append(app_name)
             return SimResult(app_name=app_name, scheme=config.scheme.value,
                              cycles=len(runs))
@@ -309,7 +309,7 @@ class TestResultText:
 
         runs = []
 
-        def fake_simulate(app_name, config, scale, store):
+        def fake_simulate(app_name, config, scale):
             runs.append(app_name)
             return SimResult(app_name=app_name, scheme=config.scheme.value,
                              cycles=len(runs))

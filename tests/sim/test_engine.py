@@ -312,10 +312,9 @@ class TestSchedulerTiebreakDeterminism:
 
         script = (
             "from repro.config import table1_config, TxScheme\n"
-            "from repro.experiments.common import result_fingerprint, run_app\n"
-            "print(result_fingerprint(run_app('NW', "
-            "table1_config(TxScheme.ICACHE_LDS), scale=0.02, "
-            "use_cache=False)))\n"
+            "from repro.experiments.common import result_fingerprint, simulate\n"
+            "print(result_fingerprint(simulate('NW', "
+            "table1_config(TxScheme.ICACHE_LDS), 0.02)))\n"
         )
         digests = set()
         for seed in ("0", "31337"):

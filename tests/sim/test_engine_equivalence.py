@@ -50,13 +50,7 @@ def _memory_only_cache(monkeypatch):
     """No disk cache, no inherited sweep env, clean in-process cache."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
-    for name in (
-        "REPRO_FAULT_SPEC",
-        "REPRO_TIMEOUT",
-        "REPRO_MAX_RETRIES",
-        "REPRO_KEEP_GOING",
-        "REPRO_JOBS",
-    ):
+    for name in ("REPRO_FAULT_SPEC", "REPRO_JOBS"):
         monkeypatch.delenv(name, raising=False)
     common.clear_cache()
     yield
@@ -156,8 +150,7 @@ class TestFaultRetries:
     def test_retry_equivalence(self):
         reference = run_app("NW", table1_config())
         runner = SweepRunner(
-            jobs=1, use_cache=False, fault=_fail_first_attempt, max_retries=2,
-            retry_backoff_s=0,
+            jobs=1, fault=_fail_first_attempt, max_retries=2, retry_backoff_s=0,
         )
         (result,) = runner.run([SweepJob("NW", table1_config(), SCALE)])
         assert result is not None

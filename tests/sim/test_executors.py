@@ -34,7 +34,6 @@ from repro.sim.executors import (
     RemoteExecutor,
     SerialExecutor,
     WorkerFleet,
-    executor_names,
 )
 from repro.sim.executors.remote import (
     EXIT_CLEAN,
@@ -46,11 +45,12 @@ from repro.sim.executors.remote import (
     worker_main,
 )
 from repro.sim.runner import (
+    EXECUTOR_NAMES,
     SweepJob,
     SweepRunner,
     parse_fault_spec,
 )
-from repro.sim.store import ResultStore
+from repro.sim.store import COUNTER_NAMES, ResultStore
 
 SCALE = 0.05
 APPS = ("ATAX", "SRAD", "GUPS")
@@ -62,13 +62,7 @@ def _isolated(monkeypatch):
     """Memory-only cache, no inherited fault env."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
-    for name in (
-        "REPRO_FAULT_SPEC",
-        "REPRO_TIMEOUT",
-        "REPRO_MAX_RETRIES",
-        "REPRO_KEEP_GOING",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     common.clear_cache()
     yield
     common.clear_cache()
@@ -103,7 +97,7 @@ def backend_executor(backend, workers=2, respawn=True):
 
 class TestExecutorSelection:
     def test_names(self):
-        assert executor_names() == ["serial", "pool", "remote"]
+        assert EXECUTOR_NAMES == ("serial", "pool", "remote")
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError, match="serial/pool/remote"):
@@ -263,12 +257,14 @@ class TestByteIdentityAcceptance:
         assert pool_report.cache_hits == len(jobs)
         assert pool_report.store["hits"] == len(jobs)
 
-        # Fresh compute, serial backend, cache reads disabled: the ground
-        # truth the stored entries must match byte-for-byte.
+        # Fresh compute, serial backend, no store and an empty memo: the
+        # ground truth the stored entries must match byte-for-byte.
+        monkeypatch.setattr(common, "_CACHE_DIR", "")
         common.clear_cache()
-        serial_results, _ = SweepRunner(
-            executor="serial", use_cache=False
+        serial_results, serial_report = SweepRunner(
+            executor="serial"
         ).run_with_report(jobs)
+        assert serial_report.cache_hits == 0
 
         remote_fps = [common.result_fingerprint(r) for r in remote_results]
         pool_fps = [common.result_fingerprint(r) for r in pool_results]
@@ -278,6 +274,31 @@ class TestByteIdentityAcceptance:
         # And the shared store itself is clean.
         outcome = store.verify()
         assert outcome["corrupt"] == [] and outcome["stale"] == []
+
+
+class TestOneReaderOneWriter:
+    """Only the runner's process reads or writes the store, so a sweep's
+    store counters count each lookup and each write once, on every
+    backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cold_then_warm_store_counters(self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(common, "_CACHE_DIR", str(tmp_path / "store"))
+        jobs = grid() + grid()  # a duplicate is looked up once
+        unique = len(APPS)
+        none = dict.fromkeys(COUNTER_NAMES, 0)
+
+        with backend_executor(backend) as executor:
+            runner = SweepRunner(jobs=2, executor=executor)
+            _, cold = runner.run_with_report(jobs)
+            common.clear_cache()  # the warm run must read the store
+            _, warm = runner.run_with_report(jobs)
+
+        assert cold.jobs_simulated == unique
+        assert cold.store == {**none, "misses": unique, "stores": unique}
+        assert warm.cache_hits == unique
+        assert warm.store == {**none, "hits": unique}
+        assert ResultStore(str(tmp_path / "store")).verify()["ok"] == unique
 
 
 def _fake_worker(coordinator, hello=None):
@@ -320,7 +341,7 @@ class TestRemoteProtocol:
         coordinator = Coordinator()
         coordinator.close()
         with pytest.raises(RuntimeError, match="closed"):
-            coordinator.submit_task(grid()[0], None, 1, None)
+            coordinator.submit_task(grid()[0], 1, None)
 
     def test_bad_hello_never_registers(self):
         coordinator = Coordinator()
@@ -339,7 +360,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], None, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             message = _recv_msg(sock)
             assert message[0] == "job" and message[1] == task.task_id
             sock.close()  # the "worker" dies holding the job
@@ -353,7 +374,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], None, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             _recv_msg(sock)  # the fake worker now "runs" the job
             coordinator.recycle("test recycle")
             _send_msg(sock, ("ok", task.task_id, "late result"))
@@ -377,7 +398,7 @@ class TestRemoteProtocol:
         thread.start()
         try:
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], None, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             outcome = task.future.result(timeout=120.0)
             assert outcome.result.app_name == "ATAX"
             assert outcome.worker_pid > 0
@@ -395,7 +416,7 @@ class TestRemoteProtocol:
         executor = RemoteExecutor(coordinator, min_workers=1)
         try:
             with pytest.raises(FuturesTimeoutError):
-                executor.run_isolated(grid()[0], None, 1, None, 0.2)
+                executor.run_isolated(grid()[0], 1, None, 0.2)
             assert coordinator.stats()["queued"] == 0  # dropped, not leaked
         finally:
             coordinator.close()

@@ -5,7 +5,6 @@ from the serial path: byte-identical results, submission order preserved,
 and no job simulated more than once. These tests pin all three down.
 """
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from repro.sim.runner import (
     run_attempt,
 )
 from repro.sim.stats import _percentile as stats_percentile
-from repro.sim.store import ResultStore
+from repro.sim.store import COUNTER_NAMES, counters_delta, counters_snapshot
 
 SCALE = 0.05
 
@@ -126,42 +125,6 @@ class TestOrderingAndDedup:
         assert report.cache_hits == len(jobs)
         assert report.jobs_simulated == 0
 
-    def test_tuple_jobs_and_defaults_accepted(self):
-        results = SweepRunner(jobs=1).run([("SRAD", None, SCALE)])
-        assert results[0].app_name == "SRAD"
-        assert results[0].scheme == "baseline"
-
-
-class TestCacheIsolation:
-    def test_use_cache_false_ignores_inherited_parent_cache(self):
-        """Regression: under the fork start method a worker inherits the
-        parent's populated in-process ``_CACHE``; with ``use_cache=False``
-        it must never serve from it (it used to, returning stale results
-        for a runner explicitly built to re-simulate)."""
-
-        jobs = small_grid()[:2]
-        genuine = common.run_app(
-            jobs[0].app_name, jobs[0].config, jobs[0].scale, use_cache=False
-        )
-        poisoned = dataclasses.replace(genuine, cycles=genuine.cycles + 987_654)
-        common._CACHE[jobs[0].key()] = poisoned
-
-        results = SweepRunner(jobs=2, use_cache=False).run(jobs)
-
-        assert results[0].cycles == genuine.cycles
-        assert results[0].cycles != poisoned.cycles
-        # And the no-cache run did not overwrite the parent's entry.
-        assert common._CACHE[jobs[0].key()] is poisoned
-
-    def test_use_cache_false_serial_ignores_parent_cache(self):
-        job = small_grid()[0]
-        genuine = common.run_app(job.app_name, job.config, job.scale, use_cache=False)
-        poisoned = dataclasses.replace(genuine, cycles=genuine.cycles + 987_654)
-        common._CACHE[job.key()] = poisoned
-
-        results = SweepRunner(jobs=1, use_cache=False).run([job])
-        assert results[0].cycles == genuine.cycles
-
 
 def _memo_state():
     """The executing process's memo size and cache-dir knob."""
@@ -171,38 +134,34 @@ def _memo_state():
 
 class TestAttempt:
     def test_attempt_leaves_memo_and_cache_dir_unchanged(self, tmp_path, monkeypatch):
-        """The attempt simulates against the store it is handed: it must
-        neither memoize the result nor re-point the process-default
-        store, so long-lived workers keep nothing between jobs."""
+        """An attempt only simulates: it neither memoizes its result nor
+        touches the process-default store, even when one is configured,
+        so long-lived workers keep nothing and need no store."""
 
         default_dir = str(tmp_path / "default")
         monkeypatch.setattr(common, "_CACHE_DIR", default_dir)
         marker = object()
         common._CACHE["unrelated"] = marker
-        store = ResultStore(str(tmp_path / "runner"))
         job = small_grid()[0]
+        before = counters_snapshot()
 
-        first = run_attempt(job, store, 1, None)
-        assert common._CACHE == {"unrelated": marker}
-        assert common._CACHE_DIR == default_dir
-        assert not os.path.exists(default_dir)
-        assert store.load(job.key()) is not None
+        first = run_attempt(job, 1, None)
+        second = run_attempt(job, 2, None)
 
-        # A second attempt is served from the store, still memo-free.
-        second = run_attempt(job, store, 2, None)
+        assert second.result is not first.result  # simulated twice
         assert common.result_fingerprint(second.result) == (
             common.result_fingerprint(first.result)
         )
         assert common._CACHE == {"unrelated": marker}
-        assert common._CACHE_DIR == default_dir
+        assert not os.path.exists(default_dir)
+        assert counters_delta(before) == dict.fromkeys(COUNTER_NAMES, 0)
 
-    def test_long_lived_pool_worker_keeps_no_results(self, tmp_path):
+    def test_long_lived_pool_worker_keeps_no_results(self):
         job = small_grid()[0]
-        store = ResultStore(str(tmp_path))
         with ProcessPoolExecutor(max_workers=1) as pool:
             before = pool.submit(_memo_state).result()
-            pool.submit(run_attempt, job, store, 1, None).result()
-            pool.submit(run_attempt, job, None, 1, None).result()
+            pool.submit(run_attempt, job, 1, None).result()
+            pool.submit(run_attempt, job, 2, None).result()
             assert pool.submit(_memo_state).result() == before
 
 
@@ -223,6 +182,27 @@ class TestReport:
         SweepRunner(jobs=1, progress=lines.append).run(small_grid()[:2])
         assert any("[sweep]" in line for line in lines)
         assert any("jobs" in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "executor, jobs, pending, warm, width",
+        [
+            ("serial", 2, 3, False, 1),
+            ("pool", 4, 2, False, 2),
+            ("pool", 2, 2, True, 0),
+        ],
+        ids=["serial-executor", "pool-wider-than-pending", "warm-rerun"],
+    )
+    def test_workers_is_the_width_that_ran(self, executor, jobs, pending, warm, width):
+        """The report records the width the executor granted, not the
+        width asked for, and 0 when every job was a cache hit."""
+
+        grid = small_grid()[:pending]
+        runner = SweepRunner(jobs=jobs, executor=executor)
+        if warm:
+            runner.run(grid)
+        _, report = runner.run_with_report(grid)
+        assert report.workers == width
+        assert f"on {width} worker(s)" in report.summary()
 
     def test_summary_mentions_cache_hits(self):
         runner = SweepRunner(jobs=1)

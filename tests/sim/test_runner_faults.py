@@ -34,16 +34,10 @@ APPS = ("ATAX", "SRAD", "GUPS")
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Memory-only cache, no inherited fault/retry env."""
+    """Memory-only cache, no inherited fault env."""
 
     monkeypatch.setattr(common, "_CACHE_DIR", "")
-    for name in (
-        "REPRO_FAULT_SPEC",
-        "REPRO_TIMEOUT",
-        "REPRO_MAX_RETRIES",
-        "REPRO_KEEP_GOING",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     common.clear_cache()
     yield
     common.clear_cache()
@@ -303,24 +297,6 @@ class TestEnvConfiguration:
         (failure,) = report.failures
         assert failure.disposition == "exception"
         assert "demoted" in failure.error
-
-    def test_retry_and_keep_going_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        monkeypatch.setenv("REPRO_KEEP_GOING", "1")
-        monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
-        runner = SweepRunner(jobs=1)
-        assert runner.max_retries == 7
-        assert runner.keep_going is True
-        assert runner.timeout == 12.5
-
-    def test_bad_env_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=1)
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "2")
-        monkeypatch.setenv("REPRO_TIMEOUT", "soon")
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=1)
 
 
 class TestFig13GridAcceptance:

@@ -33,7 +33,7 @@ def _fresh_counters():
 
 @pytest.fixture()
 def result():
-    return common.run_app(APP, table1_config(), SCALE, use_cache=False)
+    return common.simulate(APP, table1_config(), SCALE)
 
 
 @pytest.fixture()
@@ -277,7 +277,7 @@ class TestVerify:
         # fingerprint lists — this is the CI byte-compare primitive.
         other = ResultStore(str(tmp_path_factory.mktemp("other-store")))
         second_key = common.cache_key("ATAX", table1_config(), SCALE)
-        second = common.run_app("ATAX", table1_config(), SCALE, use_cache=False)
+        second = common.simulate("ATAX", table1_config(), SCALE)
         for target in (store, other):
             target.store(KEY, result)
             target.store(second_key, second)
@@ -356,6 +356,38 @@ class TestOneClassification:
             assert os.path.exists(path)
 
 
+#: Where a stored entry is moved to, outside the sharded path of its name.
+MISPLACED = {
+    "root": lambda name: name,
+    "wrong-shard": lambda name: os.path.join("ff", "ff", name),
+}
+
+
+class TestMisplacedEntry:
+    """A file outside the sharded layout is never read by ``load``, so
+    stats, verify and gc must not count it as an entry either."""
+
+    @pytest.mark.parametrize("where", sorted(MISPLACED))
+    def test_misplaced_file_is_stale(self, store, result, where):
+        store.store(KEY, result)
+        name = os.path.basename(store.path_for(KEY))
+        assert not name.startswith("ffff")
+        moved = os.path.join(store.root, MISPLACED[where](name))
+        os.makedirs(os.path.dirname(moved), exist_ok=True)
+        os.replace(store.path_for(KEY), moved)
+
+        assert store.stats()["entries"] == 0
+        outcome = store.verify()
+        assert outcome["ok"] == 0 and outcome["stale"] == [moved]
+        assert store.load(KEY) is None
+
+        removed = store.gc()
+
+        assert removed["stale"] == 1
+        assert not os.path.exists(moved)
+        assert store.verify()["checked"] == 0
+
+
 class TestCounters:
     def test_load_store_counters(self, store, result):
         store.load(KEY)
@@ -379,4 +411,5 @@ class TestCounters:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
-        assert stats["counters"]["stores"] == 1
+        # The scanning process's own counters say nothing about the store.
+        assert "counters" not in stats
