@@ -52,7 +52,7 @@ def _box(rng: random.Random) -> BoxStats:
     )
 
 
-def synthetic_simulate(app_name, config, scale, store=None) -> SimResult:
+def synthetic_simulate(app_name, config, scale) -> SimResult:
     """A result drawn from the job's cache key (``random.Random`` seeds a
     ``str`` through sha512, so the draw is the same in every process)."""
 
