@@ -21,7 +21,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.experiments.common import _config_signature, result_fingerprint
+from repro.experiments.common import result_fingerprint
 from repro.experiments.fig13_main import sweep_jobs
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
@@ -55,7 +55,7 @@ def _check_pins() -> int:
     for job in jobs:
         # The label format of tests/sim/test_pins.py.
         label = (f"fig13/{job.app_name}/{job.config.scheme.value}/"
-                 f"{_config_signature(job.config)}")
+                 f"{job.config.signature}")
         assert label in pins, f"no pin for {label}"
         assert [result_fingerprint(_simulate(job))] == pins[label], (
             f"{label}: result differs from its pin"

@@ -13,6 +13,7 @@ single :class:`SystemConfig` value fully describes an experiment arm.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
 
 
@@ -361,6 +362,27 @@ class SystemConfig:
     # LDS into the shared, deduplicating I-cache, limiting the replication
     # that wastes cumulative LDS capacity.
     dedup_shared_fills: bool = False
+
+    @property
+    def signature(self) -> str:
+        """This configuration's cache identity: the first 16 hex digits of
+        the sha256 of its serialized form (``config_io.config_to_dict`` as
+        indented, key-sorted JSON).
+
+        Derived on first access and kept in the instance's ``__dict__``,
+        so it is exact per object (``512`` and ``512.0`` compare equal but
+        serialize differently), travels with a pickled or copied config,
+        and is derived afresh by every ``replace``/``with_*`` variant. No
+        lock: two threads may both derive it and store the same value, and
+        a worker forked from threads cannot inherit a held lock.
+        """
+
+        if "_signature" not in self.__dict__:
+            from repro.config_io import config_to_json
+
+            text = config_to_json(self)
+            self.__dict__["_signature"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        return self.__dict__["_signature"]
 
     def with_scheme(self, scheme: TxScheme) -> "SystemConfig":
         return replace(self, scheme=scheme)

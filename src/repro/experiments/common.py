@@ -3,8 +3,8 @@
 - A process-wide result memo plus the process-default on-disk store
   (:func:`default_store`): many figures share the same baseline runs, so
   one ``repro report`` simulates each distinct job once.
-- ``cache_key``: one job's identity. Each configuration's signature is
-  derived once per process, in a bounded memo keyed by its ``repr``.
+- ``cache_key``: one job's identity, ``app|scale|config.signature``; each
+  configuration object derives its signature once and keeps it.
 - ``simulate``: one job on a fresh system, no memo and no store (the body
   of every sweep attempt); ``lookup`` and ``remember``: the memo-then-store
   read and the memo-and-store write, shared by the sweep runner and
@@ -56,61 +56,19 @@ CACHE_SCHEMA = "repro-simresult-v2"
 _LOG = logging.getLogger("repro.experiments.cache")
 
 
-#: Entries :func:`_config_signature` keeps. Every ``SWEEP_GRIDS`` grid
-#: together uses 41 distinct configurations, so a report never evicts.
-_SIGNATURE_MEMO_SIZE = 256
-
-#: ``repr(config)`` -> ``(config, signature)``; see :func:`_config_signature`.
-_SIGNATURES: Dict[str, Tuple[SystemConfig, str]] = {}
-
-
 def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _derive_signature(config: SystemConfig) -> str:
-    # Hash the explicit serialized form, not repr(): the signature then
-    # only changes when a setting's *value* changes, not when unrelated
-    # fields are added to the dataclasses.
-    from repro.config_io import config_to_dict
+def cache_key(app_name: str, config: SystemConfig, scale: float) -> str:
+    """Cache identity of one (app, config, scale) simulation.
 
-    text = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _config_signature(config: SystemConfig) -> str:
-    """The configuration's cache identity, derived once per process.
-
-    Memoized by ``repr(config)``, which is exact where value equality is
-    not: ``512 == 512.0``, ``False == 0`` and ``0.0 == -0.0`` hash alike
-    but serialize differently. An entry holds its config, so a repr that
-    shows an object's address cannot name another object while the entry
-    lives. No lock, since pool workers fork from the service's threads:
-    two threads may derive the same entry, and whichever insert takes the
-    memo past its bound empties it.
+    ``float(scale)``: ``scale=1`` and ``scale=1.0`` are the same
+    simulation and must share one identity (an int interpolates as "1", a
+    float as "1.0", which used to split the key and miss warm caches).
     """
 
-    memo_key = repr(config)
-    entry = _SIGNATURES.get(memo_key)
-    if entry is None:
-        entry = (config, _derive_signature(config))
-        _SIGNATURES[memo_key] = entry
-        if len(_SIGNATURES) > _SIGNATURE_MEMO_SIZE:
-            _SIGNATURES.clear()
-    return entry[1]
-
-
-def _cache_key(app_name: str, config: SystemConfig, scale: float) -> str:
-    # float(scale): ``scale=1`` and ``scale=1.0`` are the same simulation
-    # and must share one cache identity (an int interpolates as "1", a
-    # float as "1.0", which used to split the key and miss warm caches).
-    return f"{app_name}|{float(scale)}|{_config_signature(config)}"
-
-
-def cache_key(app_name: str, config: SystemConfig, scale: float) -> str:
-    """Public cache identity of one (app, config, scale) simulation."""
-
-    return _cache_key(app_name, config, scale)
+    return f"{app_name}|{float(scale)}|{config.signature}"
 
 
 def default_store() -> Optional[ResultStore]:
@@ -217,7 +175,7 @@ def run_app(
     if config is None:
         config = table1_config()
     scale = resolve_scale(scale)
-    key = _cache_key(app_name, config, scale)
+    key = cache_key(app_name, config, scale)
     store = default_store()
     result = lookup(key, store)
     if result is None:

@@ -21,6 +21,9 @@ Contract:
 - :func:`config_for` / :func:`apply_scheme` build configurations by
   name, applying per-scheme config transforms (e.g. the perfect-L2
   bound flips ``tlb.perfect_l2`` in addition to the scheme label).
+  ``config_for(name)`` returns one shared Table-1 configuration per
+  registered scheme, until the next :func:`register` or
+  :func:`unregister`.
 - :func:`schemes_for_tag` enumerates grid members in registration
   order, which for the built-ins matches the historical enum order so
   existing grids stay byte-identical.
@@ -33,6 +36,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.schemes.base import PluginScheme, SchemeSpec
 
 _REGISTRY: Dict[str, SchemeSpec] = {}
+
+#: Scheme name -> its shared Table-1 configuration (see :func:`config_for`);
+#: emptied by :func:`register` and :func:`unregister`.
+_CONFIGS: Dict[str, object] = {}
 
 
 class SchemeError(ValueError):
@@ -56,6 +63,7 @@ def register(spec: SchemeSpec) -> SchemeSpec:
             f"alias an existing scheme (cached results are keyed by name)"
         )
     _REGISTRY[spec.name] = spec
+    _CONFIGS.clear()
     return spec
 
 
@@ -94,6 +102,7 @@ def unregister(name: str) -> None:
     """Remove a scheme (test cleanup for throwaway plugins)."""
 
     _REGISTRY.pop(name, None)
+    _CONFIGS.clear()
 
 
 def scheme_names() -> List[str]:
@@ -147,10 +156,19 @@ def apply_scheme(config, scheme: object):
 
 
 def config_for(scheme: object, base=None):
-    """A Table-1 configuration with ``scheme`` selected by name."""
+    """A Table-1 configuration (or ``base``) with ``scheme`` selected by
+    name.
 
-    if base is None:
+    Without ``base``, every call for one registered scheme returns the
+    same configuration object, so its signature is derived once.
+    """
+
+    spec = spec_for(scheme)
+    if base is not None:
+        return spec.apply(base)
+    config = _CONFIGS.get(spec.name)
+    if config is None:
         from repro.config import table1_config
 
-        base = table1_config()
-    return apply_scheme(base, scheme)
+        config = _CONFIGS.setdefault(spec.name, spec.apply(table1_config()))
+    return config

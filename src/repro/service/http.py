@@ -60,7 +60,10 @@ _MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Seconds a client may take to send the request head, and again its body.
 _READ_TIMEOUT_S = 10.0
-#: How often a live NDJSON stream re-checks the record for new events.
+#: A live NDJSON stream re-checks its record after 1 ms, doubling the wait
+#: while nothing new arrives up to this cap, and starts again at 1 ms after
+#: new events: a batch that ends just after the stream opens is not
+#: answered 50 ms late, and an idle stream still polls 20 times a second.
 _STREAM_POLL_S = 0.05
 
 
@@ -357,7 +360,7 @@ class ServiceServer:
                 "Connection: close\r\n\r\n"
             ).encode()
         )
-        seq = 0
+        seq, delay = 0, 0.001
         while True:
             snapshot = self.manager.events_since(job_id, seq)
             if snapshot is None:  # record vanished (cannot happen today)
@@ -367,10 +370,13 @@ class ServiceServer:
                 writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
                 seq = event["seq"] + 1
             await writer.drain()
-            if state in TERMINAL_STATES and not events:
+            if events:
+                delay = 0.001
+            elif state in TERMINAL_STATES:
                 break
-            if not events:
-                await asyncio.sleep(_STREAM_POLL_S)
+            else:
+                await asyncio.sleep(delay)
+                delay = min(2 * delay, _STREAM_POLL_S)
 
 
 async def _serve_async(server: ServiceServer) -> None:

@@ -254,13 +254,15 @@ def expand_spec(spec: Dict) -> List[SweepJob]:
         from repro.experiments.report import SWEEP_GRIDS
 
         return SWEEP_GRIDS[spec["figure"]](scale)
-    jobs: List[SweepJob] = []
-    for app in spec["apps"]:
-        for scheme in spec["schemes"]:
-            config = config_for(scheme)
-            if "page_size" in spec:
-                config = config.with_page_size(spec["page_size"])
-            if "l2_tlb_entries" in spec:
-                config = config.with_l2_tlb_entries(spec["l2_tlb_entries"])
-            jobs.append(SweepJob(app, config, scale))
-    return jobs
+    # One configuration per scheme, shared by every app's job: a fresh
+    # object derives its signature on first use.
+    configs = {}
+    for scheme in spec["schemes"]:
+        config = config_for(scheme)
+        if "page_size" in spec:
+            config = config.with_page_size(spec["page_size"])
+        if "l2_tlb_entries" in spec:
+            config = config.with_l2_tlb_entries(spec["l2_tlb_entries"])
+        configs[scheme] = config
+    return [SweepJob(app, configs[scheme], scale)
+            for app in spec["apps"] for scheme in spec["schemes"]]

@@ -72,8 +72,6 @@ class JobRecord:
     spec: Dict
     spec_key: str
     jobs: List[SweepJob]
-    #: ``SweepJob.key()`` of each job, derived once at submit.
-    keys: List[str]
     state: str = QUEUED
     created_s: float = field(default_factory=time.time)
     started_s: Optional[float] = None
@@ -185,7 +183,6 @@ class JobManager:
         spec = validate_spec(raw_spec)
         key = spec_key(spec)
         jobs = expand_spec(spec)
-        keys = [job.key() for job in jobs]
         with self._cond:
             existing_id = self._by_spec.get(key)
             if existing_id is not None:
@@ -198,7 +195,6 @@ class JobManager:
                 spec=spec,
                 spec_key=key,
                 jobs=jobs,
-                keys=keys,
             )
             self._records[record.job_id] = record
             self._by_spec[key] = record.job_id
@@ -492,7 +488,7 @@ class JobManager:
         per-job attempt counts, which *are* attributable.
         """
 
-        keys = set(record.keys)
+        keys = {job.key() for job in record.jobs}
         timings: List[JobTiming] = [
             timing for timing in batch_report.timings if timing.key in keys
         ]

@@ -74,7 +74,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
@@ -183,6 +183,13 @@ class FaultInjection(RuntimeError):
     would otherwise kill the parent process in the serial path)."""
 
 
+def _row(record) -> Dict:
+    """``dataclasses.asdict`` of a timing, failure or hotspot record,
+    whose fields hold only scalars, without asdict's recursive copy."""
+
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
+
+
 @dataclass
 class SweepReport:
     """What one :meth:`SweepRunner.run` did, and how long it took."""
@@ -258,9 +265,9 @@ class SweepReport:
             # Derived, included for consumers that only see the payload.
             "p50_s": self.p50_s,
             "p95_s": self.p95_s,
-            "timings": [asdict(timing) for timing in self.timings],
-            "failures": [asdict(failure) for failure in self.failures],
-            "hotspots": [asdict(hotspot) for hotspot in self.hotspots],
+            "timings": [_row(timing) for timing in self.timings],
+            "failures": [_row(failure) for failure in self.failures],
+            "hotspots": [_row(hotspot) for hotspot in self.hotspots],
             "store": dict(self.store),
         }
 

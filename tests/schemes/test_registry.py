@@ -15,7 +15,6 @@ import argparse
 import pytest
 
 from repro.config import SubregionConfig, TxScheme, table1_config
-from repro.experiments import common
 from repro.schemes import (
     PluginScheme,
     SchemeError,
@@ -33,7 +32,7 @@ from repro.schemes import (
 )
 from repro.system import GPUSystem
 
-#: Pre-refactor ``_config_signature`` values for every builtin arm
+#: Pre-refactor cache signatures for every builtin arm
 #: (captured on the commit before the registry landed). These pin both
 #: the cache schema and the byte-identity of the existing scheme
 #: configurations: if one of these changes, cached results silently
@@ -125,22 +124,16 @@ class TestCapabilityWiring:
 class TestCacheIdentity:
     def test_builtin_signatures_pinned(self):
         for name, expected in PINNED_SIGNATURES.items():
-            assert common._config_signature(config_for(name)) == expected, name
+            assert config_for(name).signature == expected, name
 
     def test_perfect_l2_tlb_signature_matches_full_config(self):
-        assert (
-            common._config_signature(config_for("perfect-l2-tlb"))
-            == PINNED_PERFECT_L2
-        )
-        assert (
-            common._config_signature(table1_config().with_perfect_l2_tlb())
-            == PINNED_PERFECT_L2
-        )
+        assert config_for("perfect-l2-tlb").signature == PINNED_PERFECT_L2
+        assert table1_config().with_perfect_l2_tlb().signature == PINNED_PERFECT_L2
 
     def test_all_schemes_have_distinct_cache_keys(self):
         signatures = {}
         for name in scheme_names():
-            signature = common._config_signature(config_for(name))
+            signature = config_for(name).signature
             assert signature not in signatures, (
                 f"{name} collides with {signatures.get(signature)}"
             )
@@ -152,9 +145,25 @@ class TestCacheIdentity:
         # moved any existing arm's signature.
         config = table1_config()
         assert config.subregion == SubregionConfig()
-        assert (
-            common._config_signature(config) == PINNED_SIGNATURES["baseline"]
-        )
+        assert config.signature == PINNED_SIGNATURES["baseline"]
+
+    def test_config_for_shares_one_config_per_scheme(self):
+        for name in scheme_names():
+            assert config_for(name) is config_for(name)
+        based = config_for("lds", base=table1_config().with_page_size(65536))
+        assert based.page_size == 65536 and based is not config_for("lds")
+
+    def test_reregistered_plugin_gets_its_own_config(self):
+        register_plugin("throwaway", "test-only scheme", uses_lds_tx=True)
+        try:
+            assert config_for("throwaway").scheme.uses_lds_tx
+            unregister("throwaway")
+            register_plugin("throwaway", "test-only scheme", uses_icache_tx=True)
+            scheme = config_for("throwaway").scheme
+            assert scheme.uses_icache_tx and not scheme.uses_lds_tx
+            assert scheme is resolve("throwaway")
+        finally:
+            unregister("throwaway")
 
 
 class TestPerfectL2Fix:
@@ -259,9 +268,7 @@ class TestConfigRoundtrip:
         restored = config_from_json(config_to_json(config))
         assert restored == config
         assert restored.scheme.value == "subregion-coalescing"
-        assert common._config_signature(restored) == common._config_signature(
-            config
-        )
+        assert restored.signature == config.signature
 
     def test_roundtrip_does_not_reapply_transform(self):
         from repro.config_io import config_from_json, config_to_json

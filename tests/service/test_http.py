@@ -1,6 +1,7 @@
 """End-to-end HTTP API tests: BackgroundServer + ServiceClient, and the
 ``repro serve`` process's shutdown on signals."""
 
+import asyncio
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import BackgroundServer
 from repro.service.jobs import expand_spec, validate_spec
 from repro.service.manager import JobManager
+from repro.sim.results import SimResult
 from repro.sim.runner import REPORT_SCHEMA, SweepRunner
 
 SCALE = 0.05
@@ -311,6 +313,40 @@ class TestEvents:
         assert events[-1]["type"] == "state"
         assert events[-1]["state"] == "done"
         assert not events[-1].get("synthetic")
+
+    def test_live_stream_rechecks_after_1ms_backing_off_to_50ms(self, monkeypatch):
+        """A stream that opens on a queued job re-checks it after 1 ms and
+        doubles the wait while nothing new arrives, up to 50 ms; once the
+        manager starts, the stream follows the job to its end."""
+        from repro.experiments import common
+
+        monkeypatch.setattr(
+            common, "simulate",
+            lambda app, config, scale: SimResult(app_name=app, scheme="baseline", cycles=1),
+        )
+        sleep = asyncio.sleep
+        delays = []
+        with JobManager(workers=1, autostart=False) as manager:
+
+            async def recording_sleep(delay):
+                delays.append(delay)
+                if len(delays) == 9:
+                    manager.start()
+                await sleep(delay)
+
+            monkeypatch.setattr(service_http.asyncio, "sleep", recording_sleep)
+            with BackgroundServer(manager) as server:
+                client = ServiceClient(server.url)
+                job_id = client.submit(
+                    {"apps": ["SRAD"], "schemes": ["baseline"], "scale": SCALE}
+                )["job_id"]
+                events = list(client.events(job_id))
+        assert events[-1]["state"] == "done" and not events[-1].get("synthetic")
+        staged = delays[:9]
+        assert staged[0] <= 0.001
+        for earlier, later in zip(staged, staged[1:]):
+            assert later == min(2 * earlier, 0.05)
+        assert max(delays) <= 0.05
 
     def test_stream_after_cancel_replays_terminal(self, idle):
         _, _, client = idle

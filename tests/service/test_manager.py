@@ -289,7 +289,7 @@ class TestFingerprintMemo:
             manager.wait(second.job_id, timeout=60)
             after = manager.result_payload(second.job_id)["fingerprints"]
             assert manager.result_payload(first.job_id)["fingerprints"] == before
-        assert first.keys == second.keys
+        assert [job.key() for job in first.jobs] == [job.key() for job in second.jobs]
         assert first.results[0] is not second.results[0]
         assert before == [fingerprint(first.results[0])]
         assert after == [fingerprint(second.results[0])]
@@ -358,7 +358,7 @@ class TestResultText:
             manager.wait(second.job_id, timeout=60)
             after = manager.result_payload(second.job_id)["results"]
             assert manager.result_payload(first.job_id)["results"] == before
-        assert first.keys == second.keys
+        assert [job.key() for job in first.jobs] == [job.key() for job in second.jobs]
         assert first.results[0] is not second.results[0]
         assert [r["cycles"] for r in before] == [first.results[0].cycles] == [1]
         assert [r["cycles"] for r in after] == [second.results[0].cycles] == [2]

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.config import SystemConfig, TxScheme, table1_config
-from repro.experiments.common import _config_signature, result_fingerprint
+from repro.experiments.common import result_fingerprint
 from repro.experiments.fig13_main import sweep_jobs as fig13_sweep_jobs
 from repro.schemes import config_for, scheme_names
 from repro.system import GPUSystem
@@ -44,7 +44,7 @@ PIN_PATH = Path(__file__).resolve().parent.parent / "pins" / "fingerprints.json"
 
 
 def _label(group: str, app_name: str, config: SystemConfig) -> str:
-    return f"{group}/{app_name}/{config.scheme.value}/{_config_signature(config)}"
+    return f"{group}/{app_name}/{config.scheme.value}/{config.signature}"
 
 
 def _run(app_name: str, config: SystemConfig) -> List[str]:

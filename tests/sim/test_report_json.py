@@ -1,6 +1,7 @@
 """SweepReport JSON round-trips."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -53,6 +54,21 @@ class TestRoundTrip:
         assert restored == report
         assert restored.p50_s == report.p50_s
         assert restored.p95_s == report.p95_s
+
+    def test_rows_are_their_asdict_form(self):
+        """Timing, failure and hotspot rows equal ``dataclasses.asdict`` of
+        their records, key order included, so the encoded payload is
+        byte-identical to the asdict one."""
+        report = rich_report()
+        payload = report.to_json()
+        expected = dict(
+            payload,
+            timings=[asdict(timing) for timing in report.timings],
+            failures=[asdict(failure) for failure in report.failures],
+            hotspots=[asdict(hotspot) for hotspot in report.hotspots],
+        )
+        assert json.dumps(payload) == json.dumps(expected)
+        assert all(payload[name] for name in ("timings", "failures", "hotspots"))
 
     def test_payload_carries_schema_and_derived_percentiles(self):
         payload = rich_report().to_json()

@@ -55,17 +55,11 @@ class TestConfigRoundTripProperties:
     @given(schemes)
     @settings(max_examples=10)
     def test_signature_equals_for_equal_configs(self, scheme):
-        from repro.experiments.common import _config_signature
-
-        assert _config_signature(table1_config(scheme)) == _config_signature(
-            table1_config(scheme)
-        )
+        assert table1_config(scheme).signature == table1_config(scheme).signature
 
     @given(st.sampled_from(list(TxScheme)), st.sampled_from(list(TxScheme)))
     @settings(max_examples=20)
     def test_signature_differs_for_different_schemes(self, a, b):
-        from repro.experiments.common import _config_signature
-
-        sig_a = _config_signature(table1_config(a))
-        sig_b = _config_signature(table1_config(b))
+        sig_a = table1_config(a).signature
+        sig_b = table1_config(b).signature
         assert (sig_a == sig_b) == (a == b)
