@@ -18,14 +18,18 @@ from dataclasses import dataclass, field, replace
 
 
 class TxScheme(enum.Enum):
-    """Which reconfigurable translation scheme is active.
+    """Which translation scheme is active: the closed set of arms.
 
     The members correspond to the experiment arms in the paper's evaluation
     (Section 6): the unmodified baseline, the LDS-only design (Section 4.2),
     the I-cache-only designs (Section 4.3, with its variants selected by
     :class:`ICacheTxConfig`), the combined design (Section 4.4), the DUCATI
     comparator (Section 6.3.4) alone or combined, and the Perfect-L2-TLB
-    upper bound used in the motivation study (Section 3.1).
+    upper bound used in the motivation study (Section 3.1). The last,
+    subregion coalescing, follows arXiv 2110.08613 and is not an arm of
+    the paper. The ``uses_*`` flags decide which structures
+    :class:`~repro.system.GPUSystem` builds; :mod:`repro.schemes` holds
+    each member's description and selection by name.
     """
 
     BASELINE = "baseline"
@@ -35,6 +39,7 @@ class TxScheme(enum.Enum):
     DUCATI = "ducati"
     DUCATI_ICACHE_LDS = "ducati+icache+lds"
     PERFECT_L2_TLB = "perfect-l2-tlb"
+    SUBREGION_COALESCING = "subregion-coalescing"
 
     @property
     def uses_lds_tx(self) -> bool:
@@ -58,9 +63,7 @@ class TxScheme(enum.Enum):
 
     @property
     def uses_subregion(self) -> bool:
-        # No built-in arm wires the subregion-coalescing store; plugin
-        # schemes (repro.schemes) declare this flag on their own values.
-        return False
+        return self is TxScheme.SUBREGION_COALESCING
 
 
 class ICacheReplacement(enum.Enum):
@@ -311,7 +314,7 @@ class DucatiConfig:
 class SubregionConfig:
     """Subregion-contiguity TLB coalescing knobs (arXiv 2110.08613-style).
 
-    Used by the ``subregion-coalescing`` plugin scheme
+    Used by the ``subregion-coalescing`` scheme
     (:mod:`repro.schemes.subregion`): the walker path detects
     uniform-stride runs of physical frames inside aligned
     ``subregion_pages``-page windows of the virtual address space and
@@ -332,10 +335,8 @@ class SubregionConfig:
 class SystemConfig:
     """Complete description of one simulated machine.
 
-    ``scheme`` is a :class:`TxScheme` member for the built-in arms or a
-    :class:`repro.schemes.base.PluginScheme` for registered plugins;
-    both expose ``.value`` plus the ``uses_*`` capability flags, which
-    is all the simulator reads.
+    ``scheme`` is a :class:`TxScheme` member; the simulator reads its
+    ``uses_*`` flags to decide which structures to build.
     """
 
     gpu: GPUConfig = field(default_factory=GPUConfig)
@@ -388,11 +389,13 @@ class SystemConfig:
         return replace(self, scheme=scheme)
 
     def with_l2_tlb_entries(self, entries: int) -> "SystemConfig":
+        if entries < 1:
+            raise ValueError(f"L2 TLB entries must be at least 1, got {entries}")
         return replace(self, tlb=replace(self.tlb, l2_entries=entries))
 
     def with_page_size(self, page_size: int) -> "SystemConfig":
-        if page_size & (page_size - 1):
-            raise ValueError(f"page size must be a power of two, got {page_size}")
+        if page_size < 1 or page_size & (page_size - 1):
+            raise ValueError(f"page size must be a positive power of two, got {page_size}")
         return replace(self, page_size=page_size)
 
     def with_perfect_l2_tlb(self) -> "SystemConfig":

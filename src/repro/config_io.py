@@ -58,13 +58,10 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
         "lds_before_icache": config.lds_before_icache,
         "dedup_shared_fills": config.dedup_shared_fills,
     }
-    # The subregion-coalescing section is emitted only when a scheme wires
-    # the store or a knob was changed, so every pre-existing configuration
-    # (and its cache signature) serializes byte-identically.
-    if (
-        getattr(config.scheme, "uses_subregion", False)
-        or config.subregion != SubregionConfig()
-    ):
+    # The subregion-coalescing section is emitted only when the scheme wires
+    # the store or a knob was changed, so every other configuration (and
+    # its cache signature) serializes as it did before the section existed.
+    if config.scheme.uses_subregion or config.subregion != SubregionConfig():
         payload["subregion"] = dataclasses.asdict(config.subregion)
     for section, section_type in _SECTION_TYPES.items():
         values = dataclasses.asdict(getattr(config, section))
@@ -89,9 +86,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
 
     kwargs: Dict[str, Any] = {}
     if "scheme" in payload:
-        # Resolved through the scheme registry: built-in names yield their
-        # TxScheme member, plugin names their PluginScheme value, and an
-        # unknown name raises listing the valid choices.
+        # An unknown name raises listing the valid schemes.
         from repro.schemes import resolve
 
         kwargs["scheme"] = resolve(payload["scheme"])

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.config import SystemConfig, TxScheme, table1_config
+from repro.config import SystemConfig, table1_config
 from repro.sim.results import SimResult, geomean
 from repro.sim.runner import SweepJob, SweepReport, SweepRunner
 from repro.sim.store import ResultStore
@@ -182,10 +182,6 @@ def run_app(
         result = simulate(app_name, config, scale)
         remember(key, result, store)
     return result
-
-
-def scheme_config(scheme: TxScheme) -> SystemConfig:
-    return table1_config(scheme)
 
 
 def scheme_arms(schemes: Sequence, label=lambda scheme: scheme.value) -> Dict:

@@ -24,13 +24,11 @@ from repro.experiments.common import (
     mean_row,
     scheme_arms,
 )
-from repro.schemes import schemes_for_tag
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import CATEGORIES, app_names
 
-#: Figure 13b/13c scheme arms, derived from the scheme registry (the
-#: ``fig13-victim`` tag); registration order matches the paper's bars.
-SCHEMES = tuple(spec.scheme for spec in schemes_for_tag("fig13-victim"))
+#: Figure 13b/13c scheme arms, in the paper's bar order.
+SCHEMES = (TxScheme.LDS_ONLY, TxScheme.ICACHE_ONLY, TxScheme.ICACHE_LDS)
 
 
 def icache_variant_configs() -> Dict[str, SystemConfig]:

@@ -15,15 +15,13 @@ from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
 from repro.experiments.common import ExperimentResult, Grid, mean_row, scheme_arms
-from repro.schemes import schemes_for_tag
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
 PAGE_SIZES = (4096, 64 * 1024, 2 * 1024 * 1024)
 
-# Figure 14b compares the same victim-cache arms as Figure 13b, so the
-# grid derives from the registry's ``fig13-victim`` tag.
-_SCHEMES_14B = tuple(spec.scheme for spec in schemes_for_tag("fig13-victim"))
+# Figure 14b compares the same victim-cache arms as Figure 13b.
+_SCHEMES_14B = (TxScheme.LDS_ONLY, TxScheme.ICACHE_ONLY, TxScheme.ICACHE_LDS)
 
 
 def grid_14ab() -> Grid:

@@ -15,25 +15,14 @@ from typing import List, Optional
 
 from repro.config import TxScheme, table1_config
 from repro.experiments.common import ExperimentResult, Grid, gmean_row, scheme_arms
-from repro.schemes import schemes_for_tag
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
 SHARER_COUNTS = (1, 2, 4, 8)
 WIRE_LATENCIES = (10, 50, 100)
 
-
-def _fig16c_schemes():
-    # Membership derives from the registry's ``fig16-ducati`` tag; the
-    # paper's bar order (DUCATI, IC+LDS, combined) is kept for the arms
-    # it names, with any future tag members appended.
-    specs = {spec.name: spec.scheme for spec in schemes_for_tag("fig16-ducati")}
-    preferred = ("ducati", "icache+lds", "ducati+icache+lds")
-    ordered = [specs.pop(name) for name in preferred if name in specs]
-    return tuple(ordered) + tuple(specs.values())
-
-
-_FIG16C_SCHEMES = _fig16c_schemes()
+#: Figure 16c scheme arms, in the paper's bar order.
+_FIG16C_SCHEMES = (TxScheme.DUCATI, TxScheme.ICACHE_LDS, TxScheme.DUCATI_ICACHE_LDS)
 
 
 def grid_16a(apps: Optional[List[str]] = None) -> Grid:
@@ -63,8 +52,8 @@ def grid_16b(apps: Optional[List[str]] = None) -> Grid:
 
 
 def grid_16c() -> Grid:
-    """Baseline, then every ``fig16-ducati`` scheme, labelled by its name
-    with ``+`` spelled ``_``."""
+    """Baseline, then each Figure 16c scheme, labelled by its name with
+    ``+`` spelled ``_``."""
 
     arms = scheme_arms(_FIG16C_SCHEMES, label=lambda s: s.value.replace("+", "_"))
     return Grid(app_names(), arms, arm_major=True)

@@ -1,15 +1,13 @@
-"""Subregion-contiguity coalescing arm (registry plugin scheme).
+"""Subregion-contiguity coalescing arm (not a figure of the source paper).
 
-A Figure-13-style grid for the first out-of-enum scheme,
-``subregion-coalescing`` (after the compendium-TLB idea of arXiv
-2110.08613): the walker path learns uniform-stride contiguity inside an
-aligned subregion of the address space and installs one coalesced entry
-covering the whole run, which later misses can resolve without a walk.
+A Figure-13-style grid for the ``subregion-coalescing`` scheme (after
+the compendium-TLB idea of arXiv 2110.08613): the walker path learns
+uniform-stride contiguity inside an aligned subregion of the address
+space and installs one coalesced entry covering the whole run, which
+later misses can resolve without a walk.
 
 The grid compares baseline, IC+LDS (the paper's best victim-cache arm)
-and subregion coalescing on PTW-PKI and speedup; arms derive from the
-scheme registry's ``subregion-grid`` tag, so registering another scheme
-with that tag automatically adds a column.
+and subregion coalescing on PTW-PKI and speedup.
 """
 
 from __future__ import annotations
@@ -17,16 +15,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments.common import ExperimentResult, Grid, gmean_row
-from repro.schemes import config_for, schemes_for_tag
+from repro.schemes import config_for
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import CATEGORIES, app_names
 
-#: Grid arms (includes the baseline column), in registry order.
-GRID_SPECS = tuple(schemes_for_tag("subregion-grid"))
+#: Grid arms by scheme name, the baseline column first.
+GRID_SCHEMES = ("baseline", "icache+lds", "subregion-coalescing")
 
 
 def grid() -> Grid:
-    return Grid(app_names(), {spec.name: config_for(spec.name) for spec in GRID_SPECS})
+    return Grid(app_names(), {name: config_for(name) for name in GRID_SCHEMES})
 
 
 def sweep_jobs(scale: Optional[float] = None) -> List[SweepJob]:

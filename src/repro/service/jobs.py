@@ -76,7 +76,7 @@ def valid_figures() -> List[str]:
 
 
 def valid_schemes() -> List[str]:
-    """Scheme names accepted in a custom grid (the registry universe)."""
+    """Scheme names accepted in a custom grid: every scheme, in enum order."""
 
     return scheme_names()
 
@@ -166,9 +166,6 @@ def validate_spec(raw: Dict) -> Dict:
             normalized_apps.append(name)
         spec["apps"] = normalized_apps
 
-        # One registry snapshot for the whole loop: recomputing the list
-        # per element is wasteful and lets the universe drift mid-check if
-        # a plugin registers concurrently.
         known_schemes = valid_schemes()
         schemes = raw.get("schemes", known_schemes)
         _require(

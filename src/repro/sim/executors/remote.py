@@ -64,9 +64,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.sim.executors.base import FaultHook, SweepExecutor
 from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
 
-#: Bump whenever a message changes shape, so a worker running other code
-#: is refused at hello instead of unpacking a job wrongly.
-PROTOCOL_VERSION = 3
+#: Bump whenever a message or a type it pickles changes shape, so a worker
+#: running other code is refused at hello instead of unpacking a job wrongly.
+PROTOCOL_VERSION = 4
 
 #: Worker exit codes (the ``--respawn`` supervisor keys off these).
 EXIT_CLEAN = 0          # shutdown message / coordinator gone: do not respawn

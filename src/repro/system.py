@@ -74,7 +74,7 @@ class GPUSystem:
             if scheme.uses_ducati
             else None
         )
-        if getattr(scheme, "uses_subregion", False):
+        if scheme.uses_subregion:
             from repro.schemes.subregion import SubregionStore
 
             self.subregion: Optional[SubregionStore] = SubregionStore(

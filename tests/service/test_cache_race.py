@@ -14,6 +14,7 @@ import json
 import os
 import threading
 
+from repro.config import table1_config
 from repro.experiments import common
 from repro.experiments.common import result_fingerprint
 from repro.service.manager import DONE, JobManager
@@ -25,8 +26,7 @@ APPS = ("GUPS", "ATAX")
 
 def tiny_jobs():
     return [
-        SweepJob(app_name=app, config=common.scheme_config(common.TxScheme.BASELINE),
-                 scale=SCALE)
+        SweepJob(app_name=app, config=table1_config(), scale=SCALE)
         for app in APPS
     ]
 

@@ -27,10 +27,9 @@ class TestValidation:
     def test_minimal_custom_grid_defaults_all_schemes(self):
         spec = validate_spec({"apps": ["GUPS"], "scale": 0.05})
         assert spec["apps"] == ["GUPS"]
-        # The default grid is the full registry universe: every builtin
-        # (enum order) plus registered plugin schemes.
+        # The default grid is every scheme, in enum order.
         assert spec["schemes"] == scheme_names()
-        assert [s.value for s in TxScheme] == scheme_names()[: len(TxScheme)]
+        assert [s.value for s in TxScheme] == scheme_names()
 
     def test_not_a_dict(self):
         with pytest.raises(SpecError, match="JSON object"):

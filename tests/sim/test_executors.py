@@ -344,16 +344,18 @@ class TestRemoteProtocol:
             coordinator.submit_task(grid()[0], 1, None)
 
     def test_bad_hello_never_registers(self):
-        coordinator = Coordinator()
-        try:
-            sock = _fake_worker(coordinator, hello=("hello", 999, {}))
-            # The coordinator hangs up on a protocol mismatch...
-            assert sock.recv(1) == b""
-            sock.close()
-            # ...and the worker never counted as connected.
-            assert coordinator.worker_count() == 0
-        finally:
-            coordinator.close()
+        # A version-3 worker cannot unpickle TxScheme.SUBREGION_COALESCING.
+        for version in (999, 3):
+            coordinator = Coordinator()
+            try:
+                sock = _fake_worker(coordinator, hello=("hello", version, {}))
+                # The coordinator hangs up on a protocol mismatch...
+                assert sock.recv(1) == b""
+                sock.close()
+                # ...and the worker never counted as connected.
+                assert coordinator.worker_count() == 0
+            finally:
+                coordinator.close()
 
     def test_worker_disconnect_mid_job_is_broken_process_pool(self):
         coordinator = Coordinator()

@@ -6,7 +6,7 @@ matrix; these pins cover the breadth. Each case pins the sha256
 results, at scale 0.02:
 
 - the 70 unique jobs of the Figure 13 grid;
-- every registered scheme outside that grid, on NW and GUPS;
+- every other scheme, on NW and GUPS;
 - the ablation arms: reversed lookup order and ``dedup_shared_fills``,
   on every app;
 - one concurrent pair (``run_concurrent``) and one 2 MB-page job.
