@@ -42,6 +42,7 @@ from repro.analysis.charts import bar_chart
 from repro.analysis.tables import format_plain
 from repro.config import SystemConfig, table1_config
 from repro.config_io import config_to_json, load_config
+from repro.pagetable.page_table import SUPPORTED_PAGE_SIZES
 from repro.schemes import DESCRIPTIONS, apply_scheme, scheme_names
 from repro.system import GPUSystem
 from repro.workloads.registry import CATEGORIES, app_names, make_app
@@ -448,48 +449,48 @@ def cmd_submit(args) -> int:
     except SpecError as error:
         print(f"repro submit: error: {error}", file=sys.stderr)
         return 2
-    client = ServiceClient(args.url)
-    try:
-        submitted = client.submit(spec)
-    except (ServiceError, OSError) as error:
-        print(f"repro submit: error: {error}", file=sys.stderr)
-        return 2
-    job_id = submitted["job_id"]
-    dedup = " (deduplicated onto an existing job)" if submitted["deduplicated"] else ""
-    print(f"job {job_id}: {submitted['state']}, "
-          f"{submitted['jobs']} sim job(s){dedup}")
-    if not args.wait:
-        print(f"poll with: repro submit --url {args.url} --status {job_id}")
-        return 0
-    try:
-        status = client.wait(job_id, timeout=args.wait_timeout)
-    except (ServiceError, OSError, TimeoutError) as error:
-        print(f"repro submit: error: {error}", file=sys.stderr)
-        return 2
-    report = status.get("report")
-    print(f"job {job_id}: {status['state']}")
-    if report:
-        print(
-            f"  {report['jobs_submitted']} jobs, {report['unique_jobs']} unique, "
-            f"{report['cache_hits']} cache hits, {report['jobs_simulated']} "
-            f"simulated in {report['wall_clock_s']:.2f}s"
-        )
-        if args.telemetry:
-            print()
-            print("Per-job telemetry:")
-            print(format_plain(telemetry_rows_from_json(report)))
-        for failure in report.get("failures", []):
-            print(f"  FAILED {failure['app_name']} {failure['scheme']} "
-                  f"[{failure['disposition']}]: {failure['error']}")
-    return 0 if status["state"] == "done" else 1
+    with ServiceClient(args.url) as client:
+        try:
+            submitted = client.submit(spec)
+        except (ServiceError, OSError) as error:
+            print(f"repro submit: error: {error}", file=sys.stderr)
+            return 2
+        job_id = submitted["job_id"]
+        dedup = " (deduplicated onto an existing job)" if submitted["deduplicated"] else ""
+        print(f"job {job_id}: {submitted['state']}, "
+              f"{submitted['jobs']} sim job(s){dedup}")
+        if not args.wait:
+            print(f"poll with: repro submit --url {args.url} --status {job_id}")
+            return 0
+        try:
+            status = client.wait(job_id, timeout=args.wait_timeout)
+        except (ServiceError, OSError, TimeoutError) as error:
+            print(f"repro submit: error: {error}", file=sys.stderr)
+            return 2
+        report = status.get("report")
+        print(f"job {job_id}: {status['state']}")
+        if report:
+            print(
+                f"  {report['jobs_submitted']} jobs, {report['unique_jobs']} unique, "
+                f"{report['cache_hits']} cache hits, {report['jobs_simulated']} "
+                f"simulated in {report['wall_clock_s']:.2f}s"
+            )
+            if args.telemetry:
+                print()
+                print("Per-job telemetry:")
+                print(format_plain(telemetry_rows_from_json(report)))
+            for failure in report.get("failures", []):
+                print(f"  FAILED {failure['app_name']} {failure['scheme']} "
+                      f"[{failure['disposition']}]: {failure['error']}")
+        return 0 if status["state"] == "done" else 1
 
 
 def cmd_submit_status(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
     try:
-        payload = client.status(args.status)
+        with ServiceClient(args.url) as client:
+            payload = client.status(args.status)
     except (ServiceError, OSError) as error:
         print(f"repro submit: error: {error}", file=sys.stderr)
         return 2
@@ -517,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=scheme_names(),
                        help="translation scheme")
         p.add_argument("--page-size", type=int, dest="page_size",
-                       help="page size in bytes (4096/65536/2097152)")
+                       help="page size in bytes, one of "
+                            f"{', '.join(map(str, SUPPORTED_PAGE_SIZES))} "
+                            "(default 4096)")
         p.add_argument("--l2-tlb-entries", type=int, dest="l2_tlb_entries",
                        help="override the shared L2 TLB size")
         p.add_argument("--config", help="JSON configuration file to start from")

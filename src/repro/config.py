@@ -394,8 +394,13 @@ class SystemConfig:
         return replace(self, tlb=replace(self.tlb, l2_entries=entries))
 
     def with_page_size(self, page_size: int) -> "SystemConfig":
-        if page_size < 1 or page_size & (page_size - 1):
-            raise ValueError(f"page size must be a positive power of two, got {page_size}")
+        from repro.pagetable.page_table import SUPPORTED_PAGE_SIZES
+
+        if not isinstance(page_size, int) or page_size not in SUPPORTED_PAGE_SIZES:
+            raise ValueError(
+                f"page size must be one of {list(SUPPORTED_PAGE_SIZES)} bytes, "
+                f"got {page_size!r}"
+            )
         return replace(self, page_size=page_size)
 
     def with_perfect_l2_tlb(self) -> "SystemConfig":

@@ -109,7 +109,12 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
             if sec == section and name in values:
                 values[name] = enum_type(values[name])
         kwargs[section] = section_type(**values)
-    return SystemConfig(**kwargs)
+    config = SystemConfig(**kwargs)
+    if "page_size" in payload:
+        # Checked as --page-size is: a file may not name a page size the
+        # page table cannot walk either.
+        config = config.with_page_size(config.page_size)
+    return config
 
 
 def config_to_json(config: SystemConfig, indent: int = 2) -> str:

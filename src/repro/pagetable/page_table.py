@@ -30,6 +30,10 @@ _PT_REGION_BASE = 1 << 36
 #: Spread consecutively-allocated frames across DRAM rows/banks.
 _FRAME_STRIDE = 7
 
+#: The page sizes the table can walk (4KB, 64KB, 2MB), for every entry point
+#: that takes a page size to check against.
+SUPPORTED_PAGE_SIZES = (4096, 64 * 1024, 2 * 1024 * 1024)
+
 
 class PageTable:
     """Unified CPU/GPU page table for one simulated machine."""
@@ -37,7 +41,7 @@ class PageTable:
     def __init__(self, page_size: int = 4096, va_bits: int = 48) -> None:
         if page_size & (page_size - 1):
             raise ValueError("page size must be a power of two")
-        if page_size not in (4096, 64 * 1024, 2 * 1024 * 1024):
+        if page_size not in SUPPORTED_PAGE_SIZES:
             raise ValueError(f"unsupported page size {page_size}")
         self.page_size = page_size
         self.va_bits = va_bits

@@ -4,16 +4,22 @@ Used by the test suite, the examples, CI's service smoke job, and the
 ``python -m repro submit`` command — one class, ``http.client`` under the
 hood, no dependencies::
 
-    client = ServiceClient("http://127.0.0.1:8000")
-    job = client.submit({"figure": "fig13", "scale": 0.05})
-    status = client.wait(job["job_id"])
-    result = client.result(job["job_id"])
+    with ServiceClient("http://127.0.0.1:8000") as client:
+        job = client.submit({"figure": "fig13", "scale": 0.05})
+        status = client.wait(job["job_id"])
+        result = client.result(job["job_id"])
+
+Every call but :meth:`ServiceClient.events` goes over one persistent
+HTTP/1.1 connection, one exchange at a time, so threads may share a
+client; an event stream opens a connection of its own, because the server
+ends a stream by closing its connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
@@ -36,7 +42,8 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Blocking client; one HTTP/1.1 request-per-connection exchange."""
+    """Blocking client over one persistent HTTP/1.1 connection, which
+    :meth:`close` (or leaving a ``with`` block) closes."""
 
     def __init__(
         self, base_url: str = "http://127.0.0.1:8000",
@@ -50,25 +57,56 @@ class ServiceClient:
         self.host = host or "127.0.0.1"
         self.port = int(port) if port else 8000
         self.timeout = timeout
+        # Opens its socket on the first request, and again on the next
+        # request after a close.
+        self._connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=timeout
+        )
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing ----------------------------------------------------------
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict] = None
     ) -> Tuple[int, Dict]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            body = json.dumps(payload).encode() if payload is not None else None
-            headers = {"Content-Type": "application/json"} if body else {}
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            decoded = json.loads(raw.decode()) if raw.strip() else {}
-            return response.status, decoded
-        finally:
-            connection.close()
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        with self._lock:
+            connection = self._connection
+            reused = connection.sock is not None
+            try:
+                try:
+                    connection.request(method, path, body=body, headers=headers)
+                    response = connection.getresponse()
+                except (BrokenPipeError, ConnectionResetError):
+                    # The server closes a connection it finds idle without
+                    # reading what arrives after, so a request that fails on
+                    # a reused connection before any response byte (this
+                    # includes http.client.RemoteDisconnected, a
+                    # ConnectionResetError) was never served: send it once
+                    # more, on a new connection.
+                    if not reused:
+                        raise
+                    connection.close()
+                    connection.request(method, path, body=body, headers=headers)
+                    response = connection.getresponse()
+                raw = response.read()
+            except BaseException:
+                # A half-done exchange leaves the connection unusable.
+                connection.close()
+                raise
+        decoded = json.loads(raw.decode()) if raw.strip() else {}
+        return response.status, decoded
 
     def _checked(
         self, method: str, path: str, payload: Optional[Dict] = None

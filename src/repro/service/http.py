@@ -21,8 +21,12 @@ Endpoints (all JSON unless noted):
   and the valid vocabulary (figures, apps, schemes).
 
 The server is intentionally minimal — ``asyncio.start_server`` plus a
-hand-rolled HTTP/1.1 exchange with ``Connection: close`` semantics — so
-the service adds no dependencies beyond the standard library. Blocking
+hand-rolled HTTP/1.1 exchange — so the service adds no dependencies beyond
+the standard library. A connection serves one request after another and
+stays open until the client closes it, asks for ``Connection: close`` or
+speaks HTTP/1.0, sends a malformed request, or sends no next request head
+within ``_READ_TIMEOUT_S``; an event stream is delimited by its close, so
+it ends its connection too. Blocking
 manager calls (submit validation, payload building) are short. Result
 encoding does not run under the manager's lock: the manager holds it
 only to snapshot a record and look up each result's text, which it
@@ -58,13 +62,22 @@ from repro.workloads.registry import app_names
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{12})(/result|/events)?$")
 _MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
-#: Seconds a client may take to send the request head, and again its body.
+#: Seconds a client may take to send a request head, and again its body. A
+#: connection whose next request head does not arrive in time is closed
+#: without a response; a body that does not is answered 400.
 _READ_TIMEOUT_S = 10.0
 #: A live NDJSON stream re-checks its record after 1 ms, doubling the wait
 #: while nothing new arrives up to this cap, and starts again at 1 ms after
 #: new events: a batch that ends just after the stream opens is not
 #: answered 50 ms late, and an idle stream still polls 20 times a second.
 _STREAM_POLL_S = 0.05
+
+#: A response: its status and its JSON body bytes.
+_Response = Tuple[HTTPStatus, bytes]
+
+
+def _json(status: HTTPStatus, payload: Dict) -> _Response:
+    return status, (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 class ServiceServer:
@@ -86,6 +99,13 @@ class ServiceServer:
         #: for the server, but surfaced in /healthz and the log so a flaky
         #: client or proxy is visible instead of silently swallowed.
         self.client_disconnects = 0
+        #: Connections accepted and requests answered, for /healthz: fewer
+        #: connections than requests shows that clients reuse them.
+        self.connections = 0
+        self.requests = 0
+        #: Each open connection's writer and the task that serves it, so
+        #: stop() can end them and a forked pool worker can close them.
+        self._open: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     def _log(self, message: str) -> None:
         if self._log_sink is not None:
@@ -103,13 +123,25 @@ class ServiceServer:
         return self
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then awaits :meth:`stop`."""
+
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        # Not asyncio's serve_forever(): once cancelled, it waits (since
+        # 3.12.1) for every open connection to close before stop() could
+        # end the idle ones. The server has been serving since start().
+        await asyncio.get_running_loop().create_future()
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # End every open connection, so that its handler returns rather
+            # than wait out its read timeout: since 3.12.1 wait_closed()
+            # waits for every connection, and a handler still pending would
+            # be destroyed with the loop. A handler that ended cancelled
+            # would make 3.11 and 3.12.1 log a CancelledError traceback.
+            for writer in list(self._open):
+                writer.transport.abort()
+            await asyncio.gather(*self._open.values(), return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -118,16 +150,30 @@ class ServiceServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.connections += 1
+        self._open[writer] = asyncio.current_task()
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ValueError, asyncio.TimeoutError):
-                await self._write_json(
-                    writer, HTTPStatus.BAD_REQUEST, {"error": "malformed request"}
-                )
-                return
-            await self._route(method, path, body, writer)
+            while True:
+                try:
+                    request = await self._read_request(reader)
+                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                        ValueError, asyncio.TimeoutError):
+                    await self._write_body(
+                        writer,
+                        *_json(HTTPStatus.BAD_REQUEST, {"error": "malformed request"}),
+                        keep=False,
+                    )
+                    return
+                if request is None:
+                    return
+                method, path, body, keep = request
+                self.requests += 1
+                response = await self._route(method, path, body, writer)
+                if response is None:  # an event stream, ended by the close
+                    return
+                await self._write_body(writer, *response, keep=keep)
+                if not keep:
+                    return
         except (ConnectionResetError, BrokenPipeError) as error:
             # The client went away mid-response; nothing to send back, but
             # record it rather than dropping the event on the floor.
@@ -146,17 +192,32 @@ class ServiceServer:
                 self._log(
                     f"[service] error closing client socket: {error!r}"
                 )
+            # Only now, with the socket closed, may a worker forked from
+            # here on skip it.
+            del self._open[writer]
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes]:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT_S
-        )
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """The connection's next request as ``(method, path, body, keep)``,
+        ``keep`` false when the connection must close after the response;
+        ``None`` when the client closed the connection, or sent no request
+        head within ``_READ_TIMEOUT_S``, before this request began."""
+
+        try:
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            return None
+        except asyncio.IncompleteReadError as error:
+            if error.partial:
+                raise
+            return None
         if len(head) > _MAX_HEAD_BYTES:
             raise ValueError("request head too large")
         lines = head.decode("latin-1").split("\r\n")
-        method, path, _version = lines[0].split(" ", 2)
+        method, path, version = lines[0].split(" ", 2)
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             if ":" in line:
@@ -170,24 +231,32 @@ class ServiceServer:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=_READ_TIMEOUT_S
             )
-        return method.upper(), path, body
-
-    async def _write_json(
-        self, writer: asyncio.StreamWriter, status: HTTPStatus, payload: Dict
-    ) -> None:
-        await self._write_body(
-            writer, status, (json.dumps(payload, sort_keys=True) + "\n").encode()
+        # Only a Content-Length body is read, so a request framed any other
+        # way leaves bytes that must not be taken for the next request.
+        keep = (
+            version == "HTTP/1.1"
+            and "transfer-encoding" not in headers
+            and "close" not in {
+                token.strip().lower()
+                for token in headers.get("connection", "").split(",")
+            }
         )
+        return method.upper(), path, body, keep
 
     async def _write_body(
-        self, writer: asyncio.StreamWriter, status: HTTPStatus, body: bytes
+        self,
+        writer: asyncio.StreamWriter,
+        status: HTTPStatus,
+        body: bytes,
+        keep: bool,
     ) -> None:
+        connection = "" if keep else "Connection: close\r\n"
         writer.write(
             (
                 f"HTTP/1.1 {status.value} {status.phrase}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
+                f"{connection}\r\n"
             ).encode()
         )
         writer.write(body)
@@ -201,41 +270,32 @@ class ServiceServer:
         path: str,
         body: bytes,
         writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> Optional[_Response]:
+        """The response to one request, or ``None`` when the route has
+        streamed its own response to ``writer``."""
+
         if path == "/healthz" and method == "GET":
-            await self._write_json(writer, HTTPStatus.OK, self._healthz())
-            return
+            return _json(HTTPStatus.OK, self._healthz())
         if path == "/version" and method == "GET":
-            await self._write_json(writer, HTTPStatus.OK, self._version())
-            return
+            return _json(HTTPStatus.OK, self._version())
         if path == "/jobs":
             if method == "POST":
-                await self._post_job(body, writer)
-                return
+                return self._post_job(body)
             if method == "GET":
-                await self._write_json(
-                    writer, HTTPStatus.OK, {"jobs": self.manager.summaries()}
-                )
-                return
+                return _json(HTTPStatus.OK, {"jobs": self.manager.summaries()})
         match = _JOB_PATH.match(path)
         if match:
             job_id, tail = match.group(1), match.group(2)
             if tail is None and method == "GET":
-                await self._get_status(job_id, writer)
-                return
+                return self._get_status(job_id)
             if tail is None and method == "DELETE":
-                await self._delete_job(job_id, writer)
-                return
+                return self._delete_job(job_id)
             if tail == "/result" and method == "GET":
-                await self._get_result(job_id, writer)
-                return
+                return self._get_result(job_id)
             if tail == "/events" and method == "GET":
-                await self._stream_events(job_id, writer)
-                return
-        await self._write_json(
-            writer,
-            HTTPStatus.NOT_FOUND,
-            {"error": f"no route for {method} {path}"},
+                return await self._stream_events(job_id, writer)
+        return _json(
+            HTTPStatus.NOT_FOUND, {"error": f"no route for {method} {path}"}
         )
 
     def _healthz(self) -> Dict:
@@ -248,6 +308,8 @@ class ServiceServer:
             "jobs": self.manager.counts(),
             "pool": self.manager.pool.stats(),
             "client_disconnects": self.client_disconnects,
+            "connections": self.connections,
+            "requests": self.requests,
             "store": {
                 "cache_dir": common._CACHE_DIR,
                 **result_store.counters_snapshot(),
@@ -264,27 +326,19 @@ class ServiceServer:
             "schemes": valid_schemes(),
         }
 
-    async def _post_job(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
+    def _post_job(self, body: bytes) -> _Response:
         try:
             raw = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError):
-            await self._write_json(
-                writer,
+            return _json(
                 HTTPStatus.BAD_REQUEST,
                 {"error": "request body must be a JSON object"},
             )
-            return
         try:
             record, deduplicated = self.manager.submit(raw)
         except SpecError as error:
-            await self._write_json(
-                writer, HTTPStatus.BAD_REQUEST, error.to_json()
-            )
-            return
-        await self._write_json(
-            writer,
+            return _json(HTTPStatus.BAD_REQUEST, error.to_json())
+        return _json(
             HTTPStatus.OK if deduplicated else HTTPStatus.CREATED,
             {
                 "job_id": record.job_id,
@@ -294,26 +348,16 @@ class ServiceServer:
             },
         )
 
-    async def _get_status(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
+    def _get_status(self, job_id: str) -> _Response:
         payload = self.manager.status_payload(job_id)
         if payload is None:
-            await self._write_json(
-                writer, HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"}
-            )
-            return
-        await self._write_json(writer, HTTPStatus.OK, payload)
+            return _json(HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"})
+        return _json(HTTPStatus.OK, payload)
 
-    async def _get_result(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
+    def _get_result(self, job_id: str) -> _Response:
         found = self.manager.result_body(job_id)
         if found is None:
-            await self._write_json(
-                writer, HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"}
-            )
-            return
+            return _json(HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"})
         state, body = found
         if state in (QUEUED, RUNNING):
             status = HTTPStatus.ACCEPTED
@@ -321,38 +365,26 @@ class ServiceServer:
             status = HTTPStatus.CONFLICT
         else:
             status = HTTPStatus.OK
-        await self._write_body(writer, status, body)
+        return status, body
 
-    async def _delete_job(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
+    def _delete_job(self, job_id: str) -> _Response:
         ok, state, reason = self.manager.cancel(job_id)
         if ok:
-            await self._write_json(
-                writer, HTTPStatus.OK, {"job_id": job_id, "state": CANCELLED}
-            )
-        elif state is None:
-            await self._write_json(
-                writer, HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"}
-            )
-        else:
-            # 409 carries the job's actual state so clients can tell a
-            # lost race (already running/done) from a bad request.
-            await self._write_json(
-                writer,
-                HTTPStatus.CONFLICT,
-                {"job_id": job_id, "state": state, "error": reason},
-            )
+            return _json(HTTPStatus.OK, {"job_id": job_id, "state": CANCELLED})
+        if state is None:
+            return _json(HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"})
+        # 409 carries the job's actual state so clients can tell a lost
+        # race (already running/done) from a bad request.
+        return _json(
+            HTTPStatus.CONFLICT, {"job_id": job_id, "state": state, "error": reason}
+        )
 
     async def _stream_events(
         self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> Optional[_Response]:
         snapshot = self.manager.events_since(job_id, 0)
         if snapshot is None:
-            await self._write_json(
-                writer, HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"}
-            )
-            return
+            return _json(HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"})
         writer.write(
             (
                 "HTTP/1.1 200 OK\r\n"
@@ -377,6 +409,7 @@ class ServiceServer:
             else:
                 await asyncio.sleep(delay)
                 delay = min(2 * delay, _STREAM_POLL_S)
+        return None
 
 
 async def _serve_async(server: ServiceServer) -> None:
@@ -403,10 +436,15 @@ def _detach_worker(server: ServiceServer) -> None:
     # through the inherited wakeup fd to the server's loop, stopping it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Nor may a worker hold the listening socket: orphaned by a SIGKILL of
-    # the server, it would keep the port bound.
+    # the server, it would keep the port bound. Nor a client's connection:
+    # the server's close would not end it while the worker held a copy.
     if server._server is not None:
         for sock in server._server.sockets:
             os.close(sock.fileno())
+    for writer in list(server._open):
+        fd = writer.get_extra_info("socket").fileno()
+        if fd >= 0:  # -1 once the transport has closed it
+            os.close(fd)
 
 
 def serve(

@@ -23,6 +23,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.pagetable.page_table import SUPPORTED_PAGE_SIZES
 from repro.schemes import config_for, scheme_names
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
@@ -189,11 +190,11 @@ def validate_spec(raw: Dict) -> Dict:
             _require(
                 isinstance(page_size, int)
                 and not isinstance(page_size, bool)
-                and page_size > 0
-                and not (page_size & (page_size - 1)),
-                f"page_size must be a positive power-of-two integer, "
-                f"got {page_size!r}",
+                and page_size in SUPPORTED_PAGE_SIZES,
+                f"page_size must be a power-of-two integer the page table "
+                f"supports, one of {list(SUPPORTED_PAGE_SIZES)}, got {page_size!r}",
                 "page_size",
+                choices=SUPPORTED_PAGE_SIZES,
             )
             spec["page_size"] = page_size
         if "l2_tlb_entries" in raw:

@@ -11,6 +11,7 @@ Protocol: length-prefixed pickles (4-byte big-endian size, then a
 pickled tuple) over one long-lived TCP connection per worker:
 
     worker → ("hello", PROTOCOL_VERSION, {"pid": ..., "host": ...})
+    coord  → ("refused", PROTOCOL_VERSION, reason)   (a bad hello; then closes)
     coord  → ("job", task_id, job, attempt, fault)
     worker → ("ok", task_id, WorkerOutcome) | ("err", task_id, exception)
     coord  → ("shutdown",)
@@ -160,6 +161,7 @@ class Coordinator:
         self._worker_ids = _counter(1)
         self.counters = {
             "workers_connected": 0,
+            "workers_refused": 0,
             "workers_disconnected": 0,
             "tasks_dispatched": 0,
             "results_delivered": 0,
@@ -288,10 +290,20 @@ class Coordinator:
             conn.settimeout(None)
             try:
                 hello = _recv_msg(conn)
-                if hello[0] != "hello" or hello[1] != PROTOCOL_VERSION:
-                    raise ProtocolError(f"bad hello {hello[:2]!r}")
-            except (OSError, EOFError, pickle.UnpicklingError, ProtocolError,
-                    IndexError):
+            except (OSError, EOFError, pickle.UnpicklingError, ProtocolError):
+                return
+            if hello[:2] != ("hello", PROTOCOL_VERSION):
+                # Say why before hanging up, so a worker of another version
+                # exits as a protocol failure instead of a finished one.
+                with self._cond:
+                    self.counters["workers_refused"] += 1
+                try:
+                    _send_msg(conn, (
+                        "refused", PROTOCOL_VERSION,
+                        f"expected ('hello', {PROTOCOL_VERSION}), got {hello[:2]!r}",
+                    ))
+                except OSError:
+                    pass
                 return
             with self._cond:
                 worker_id = next(self._worker_ids)
@@ -496,6 +508,12 @@ def worker_main(
             if message[0] == "shutdown":
                 _log("[worker] shutdown requested; exiting")
                 return EXIT_CLEAN
+            if message[0] == "refused" and len(message) == 3:
+                _log(
+                    f"[worker] refused by a coordinator of protocol {message[1]!r} "
+                    f"(this worker speaks {PROTOCOL_VERSION}): {message[2]}; exiting"
+                )
+                return EXIT_PROTOCOL
             if message[0] != "job" or len(message) != 5:
                 _log(f"[worker] unexpected message {message[:1]!r}")
                 return EXIT_PROTOCOL

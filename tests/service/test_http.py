@@ -9,6 +9,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -37,7 +38,8 @@ def live():
     """A running manager + server + client, torn down afterwards."""
     with JobManager(workers=1) as manager:
         with BackgroundServer(manager) as server:
-            yield manager, server, ServiceClient(server.url)
+            with ServiceClient(server.url) as client:
+                yield manager, server, client
 
 
 @pytest.fixture()
@@ -45,7 +47,8 @@ def idle():
     """Server whose manager never executes — jobs stay queued."""
     with JobManager(workers=1, autostart=False) as manager:
         with BackgroundServer(manager) as server:
-            yield manager, server, ServiceClient(server.url)
+            with ServiceClient(server.url) as client:
+                yield manager, server, client
 
 
 def _raw(url):
@@ -60,6 +63,20 @@ def _raw_body(url):
             return resp.status, resp.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+def _exchange(port, data):
+    """Everything the server sends back on a fresh connection that carries
+    ``data``, up to its close; a server that keeps the connection open
+    fails the read with a timeout."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        response = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return response
+            response += chunk
 
 
 def _reference_body(record):
@@ -145,19 +162,118 @@ class TestRequestReads:
         monkeypatch.setattr(service_http, "_READ_TIMEOUT_S", 0.2)
         _, server, _ = live
         start = time.monotonic()
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-            sock.sendall(
-                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Length: 100\r\n\r\n" + b"{" * 10
-            )
-            response = b""
-            while True:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                response += chunk
+        response = _exchange(
+            server.port,
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 100\r\n\r\n" + b"{" * 10,
+        )
         assert response.startswith(b"HTTP/1.1 400 ")
         assert time.monotonic() - start < 5
+
+
+class TestConnections:
+    def test_calls_share_one_connection(self, live):
+        _, _, client = live
+        for _ in range(5):
+            client.version()
+        health = client.healthz()
+        assert (health["connections"], health["requests"]) == (1, 6)
+        assert health["client_disconnects"] == 0
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_one_response_then_close(self, live, head):
+        _, server, _ = live
+        response = _exchange(server.port, head + head)
+        assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in response
+
+    def test_urllib_gets_connection_close(self, live):
+        # urllib asks for ``Connection: close`` on every request.
+        _, server, _ = live
+        with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
+            assert resp.headers["Connection"] == "close"
+            assert json.loads(resp.read())["connections"] == 1
+
+    def test_malformed_request_gets_400_then_close(self, live):
+        _, server, _ = live
+        response = _exchange(server.port, b"NONSENSE\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n")
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in response
+        assert response.endswith(b'{"error": "malformed request"}\n')
+
+    def test_idle_connection_closes_silently_then_client_reconnects(
+        self, live, monkeypatch
+    ):
+        monkeypatch.setattr(service_http, "_READ_TIMEOUT_S", 0.2)
+        _, server, client = live
+        start = time.monotonic()
+        response = _exchange(server.port, b"GET /version HTTP/1.1\r\nHost: x\r\n\r\n")
+        # One kept response, then the close and nothing more.
+        assert 0.15 < time.monotonic() - start < 5
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" not in response
+        client.version()
+        time.sleep(0.5)
+        health = client.healthz()  # sent once more, on a new connection
+        assert (health["connections"], health["requests"]) == (3, 3)
+
+    def test_stop_returns_at_once_with_an_idle_connection_open(self, caplog):
+        with JobManager(workers=1, autostart=False) as manager:
+            server = BackgroundServer(manager).start()
+            with ServiceClient(server.url) as client:
+                client.healthz()
+                start = time.monotonic()
+                server.stop()
+                elapsed = time.monotonic() - start
+                assert not server._thread.is_alive()
+                assert elapsed < service_http._READ_TIMEOUT_S / 2
+                # No handler is left pending, to be destroyed with the loop,
+                # and the server closed its end of the connection.
+                assert not asyncio.all_tasks(server._loop)
+                client._connection.sock.settimeout(5)
+                assert client._connection.sock.recv(1) == b""
+        # Nor did the loop log anything (a handler that ended cancelled
+        # logs a traceback on 3.11 and 3.12.1).
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
+
+    def test_threads_share_one_client(self, idle):
+        _, _, client = idle
+        apps = ["ATAX", "GEV", "MVT", "BICG", "GUPS", "NW", "BFS", "SRAD"]
+        errors, done = [], []
+
+        def one_thread(app):
+            try:
+                spec = {"apps": [app], "schemes": ["baseline"], "scale": SCALE}
+                for _ in range(10):
+                    job_id = client.submit(spec)["job_id"]
+                    assert client.status(job_id)["spec"]["apps"] == [app]
+                    assert client.healthz()["status"] == "ok"
+                done.append(app)
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=one_thread, args=(app,))
+                       for app in apps]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(done) == sorted(apps)
+        assert len(client.jobs()) == len(apps)
+        assert client.healthz()["connections"] == 1
 
 
 class TestResultBody:
@@ -487,15 +603,31 @@ class TestServeSignals:
         finally:
             _kill_group(proc)
 
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_with_an_idle_client_connection_open(self, tmp_path, signum):
+        proc, port = _start_serve(tmp_path)
+        try:
+            with ServiceClient(f"http://127.0.0.1:{port}") as client:
+                assert client.healthz()["connections"] == 1
+                start = time.monotonic()
+                proc.send_signal(signum)
+                assert proc.wait(timeout=30) == 0
+                # The server did not wait for the connection's read timeout.
+                assert time.monotonic() - start < service_http._READ_TIMEOUT_S / 2
+        finally:
+            _kill_group(proc)
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_sigkilled_server_leaves_its_port_free(self, tmp_path):
         # SIGKILL gives the server no chance to close its pool: the
         # orphaned workers live on, blocked on the pool's queue, but none
-        # of them may hold the listening socket.
+        # of them may hold the listening socket, nor the connection of the
+        # client that was open while they were forked.
         proc, port = _start_serve(tmp_path)
         workers = []
         try:
-            _run_on_pool(port)
+            client = _run_on_pool(port)
             workers = _live_children(proc.pid)
             assert workers
             proc.kill()
@@ -504,6 +636,10 @@ class TestServeSignals:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 sock.bind(("127.0.0.1", port))
                 sock.listen()
+            connection = client._connection.sock
+            connection.settimeout(10)
+            assert connection.recv(1) == b""
+            client.close()
         finally:
             for worker in workers:
                 try:

@@ -91,6 +91,17 @@ class TestValidation:
         with pytest.raises(SpecError, match="power-of-two"):
             validate_spec({"apps": ["GUPS"], "page_size": 1000})
 
+    def test_page_size_the_page_table_cannot_walk_lists_the_sizes(self):
+        for size in (512, 8192):
+            with pytest.raises(SpecError) as excinfo:
+                validate_spec({"apps": ["SRAD"], "schemes": ["baseline"],
+                               "page_size": size})
+            assert excinfo.value.to_json()["field"] == "page_size"
+            assert excinfo.value.to_json()["choices"] == ["4096", "65536", "2097152"]
+        for size in (4096, 65536, 2097152):
+            spec = validate_spec({"apps": ["SRAD"], "page_size": size})
+            assert spec["page_size"] == size
+
     def test_bad_max_retries_rejected(self):
         with pytest.raises(SpecError, match="max_retries"):
             validate_spec({"figure": "fig13", "max_retries": -1})

@@ -38,6 +38,7 @@ from repro.sim.executors import (
 from repro.sim.executors.remote import (
     EXIT_CLEAN,
     EXIT_CONNECT_FAILED,
+    EXIT_PROTOCOL,
     PROTOCOL_VERSION,
     _recv_msg,
     _send_msg,
@@ -349,13 +350,43 @@ class TestRemoteProtocol:
             coordinator = Coordinator()
             try:
                 sock = _fake_worker(coordinator, hello=("hello", version, {}))
-                # The coordinator hangs up on a protocol mismatch...
+                # The coordinator says why and hangs up on a protocol
+                # mismatch...
+                assert _recv_msg(sock)[:2] == ("refused", PROTOCOL_VERSION)
                 assert sock.recv(1) == b""
                 sock.close()
-                # ...and the worker never counted as connected.
+                # ...counts the refusal, and the worker never counted as
+                # connected.
+                assert coordinator.stats()["workers_refused"] == 1
+                assert coordinator.stats()["workers_connected"] == 0
                 assert coordinator.worker_count() == 0
             finally:
                 coordinator.close()
+
+    def test_refused_worker_exits_protocol_naming_both_versions(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def newer_coordinator():
+            conn, _addr = listener.accept()
+            with conn:
+                hellos.append(_recv_msg(conn))
+                _send_msg(conn, ("refused", PROTOCOL_VERSION + 1, "a reason"))
+
+        thread = threading.Thread(target=newer_coordinator, daemon=True)
+        thread.start()
+        lines = []
+        try:
+            code = worker_main(f"127.0.0.1:{listener.getsockname()[1]}",
+                               retry_s=5.0, log=lines.append)
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert hellos[0][:2] == ("hello", PROTOCOL_VERSION)
+        assert code == EXIT_PROTOCOL
+        assert f"protocol {PROTOCOL_VERSION + 1}" in lines[-1], lines
+        assert f"speaks {PROTOCOL_VERSION}" in lines[-1], lines
 
     def test_worker_disconnect_mid_job_is_broken_process_pool(self):
         coordinator = Coordinator()

@@ -100,6 +100,18 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro {command[0]}: error: "), line
 
+    @pytest.mark.parametrize("size", ["512", "8192"])
+    @pytest.mark.parametrize(
+        "command", [["run", "SRAD"], ["compare", "SRAD"], ["config"]], ids=lambda c: c[0]
+    )
+    def test_page_size_the_page_table_cannot_walk_exits_2(self, capsys, command, size):
+        assert main(command + ["--scale", "0.01", "--page-size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {command[0]}: error: page size must be one of "
+                               "[4096, 65536, 2097152]"), line
+
 
 class TestSweepCommand:
     @pytest.fixture(autouse=True)

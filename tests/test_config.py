@@ -9,6 +9,7 @@ from repro.config import (
     TxScheme,
     table1_config,
 )
+from repro.pagetable.page_table import SUPPORTED_PAGE_SIZES, PageTable
 
 
 class TestTxScheme:
@@ -71,6 +72,15 @@ class TestConfigDerivation:
     def test_with_page_size_validates(self):
         with pytest.raises(ValueError):
             table1_config().with_page_size(3000)
+
+    def test_with_page_size_accepts_only_the_sizes_the_page_table_walks(self):
+        for size in SUPPORTED_PAGE_SIZES:
+            config = table1_config().with_page_size(size)
+            assert PageTable(config.page_size).page_size == size
+        # Powers of two all, but no page table walks them.
+        for size in (512, 8192, 4096.0, 1 << 30):
+            with pytest.raises(ValueError, match="65536"):
+                table1_config().with_page_size(size)
 
     def test_with_extra_wire_latency(self):
         config = table1_config().with_extra_wire_latency(10, 20)

@@ -83,6 +83,12 @@ class TestPartialAndInvalid:
         with pytest.raises(ValueError):
             config_from_dict({"scheme": "teleport"})
 
+    def test_page_size_the_page_table_cannot_walk_rejected(self):
+        for size in (512, 8192):
+            with pytest.raises(ValueError, match="page size must be one of"):
+                config_from_dict({"page_size": size})
+        assert config_from_dict({"page_size": 65536}).page_size == 65536
+
     def test_dict_is_json_compatible(self):
         import json
 
