@@ -23,9 +23,10 @@ Commands:
   (``stats``, ``gc``, ``verify``; ``verify --fingerprints`` emits
   diffable digest/fingerprint lines for cross-backend byte comparison).
 - ``serve``    — run the simulation service (:mod:`repro.service`): an
-  asyncio HTTP API that accepts job specs, deduplicates them against
-  in-flight jobs and the disk cache, batches concurrent requests onto
-  one shared worker pool, and streams NDJSON progress.
+  HTTP API on the standard library's threading server that accepts job
+  specs, deduplicates them against in-flight jobs and the disk cache,
+  batches concurrent requests onto one shared worker pool, and streams
+  NDJSON progress.
 - ``submit``   — client for a running service: validate a job spec
   locally (same checks the server applies), POST it, optionally wait
   for completion and print the result/telemetry.
@@ -235,27 +236,22 @@ def cmd_sweep(args) -> int:
     executor = args.executor
     remote_executor = None
     if executor == "remote":
-        from repro.sim.executors.remote import (
-            Coordinator,
-            RemoteExecutor,
-            parse_address,
-        )
+        from repro.sim.executors.remote import RemoteExecutor
 
         try:
-            host, port = parse_address(args.bind)
+            # Checks every flag before its coordinator starts listening.
+            remote_executor = RemoteExecutor(
+                bind=args.bind,
+                min_workers=args.min_workers,
+                start_timeout_s=args.start_timeout,
+                width=args.jobs,
+            )
         except ValueError as error:
             print(f"repro sweep: error: {error}", file=sys.stderr)
             return 2
-        coordinator = Coordinator(host=host, port=port)
-        print(f"[sweep] coordinator listening on {coordinator.address}")
-        print(f"[sweep] start workers with: repro worker "
-              f"--connect {coordinator.address}")
-        remote_executor = RemoteExecutor(
-            coordinator,
-            min_workers=args.min_workers,
-            start_timeout_s=args.start_timeout,
-            width=args.jobs,
-        )
+        address = remote_executor.coordinator.address
+        print(f"[sweep] coordinator listening on {address}")
+        print(f"[sweep] start workers with: repro worker --connect {address}")
         executor = remote_executor
     try:
         runner = SweepRunner(
@@ -395,6 +391,10 @@ def cmd_serve(args) -> int:
     from repro.service.http import serve
     from repro.service.manager import JobManager
 
+    if not 0 <= args.port <= 65535:
+        print(f"repro serve: error: --port must be in 0-65535, got {args.port}",
+              file=sys.stderr)
+        return 2
     if args.cache_dir:
         common._CACHE_DIR = args.cache_dir
     try:
@@ -413,7 +413,12 @@ def cmd_serve(args) -> int:
     else:
         print("[service] no disk cache configured (set --cache-dir or "
               "REPRO_CACHE_DIR to persist and share results)")
-    serve(manager, host=args.host, port=args.port, log=print)
+    try:
+        serve(manager, host=args.host, port=args.port, log=print)
+    except OSError as error:  # e.g. the port is in use; serve closed the pool
+        print(f"repro serve: error: {args.host}:{args.port}: {error}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -436,7 +441,7 @@ def _submit_spec(args) -> dict:
 
 def cmd_submit(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
-    from repro.service.jobs import SpecError, validate_spec
+    from repro.service.jobs import validate_spec
     from repro.sim.runner import telemetry_rows_from_json
 
     if args.status:
@@ -446,10 +451,11 @@ def cmd_submit(args) -> int:
         # The same validation the server applies, run before any network
         # round-trip, so typos fail here with the valid choices listed.
         validate_spec(spec)
-    except SpecError as error:
+        client = ServiceClient(args.url)
+    except ValueError as error:  # a SpecError, or a URL it cannot use
         print(f"repro submit: error: {error}", file=sys.stderr)
         return 2
-    with ServiceClient(args.url) as client:
+    with client:
         try:
             submitted = client.submit(spec)
         except (ServiceError, OSError) as error:
@@ -491,7 +497,7 @@ def cmd_submit_status(args) -> int:
     try:
         with ServiceClient(args.url) as client:
             payload = client.status(args.status)
-    except (ServiceError, OSError) as error:
+    except (ServiceError, OSError, ValueError) as error:
         print(f"repro submit: error: {error}", file=sys.stderr)
         return 2
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -704,8 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = sub.add_parser(
         "serve",
-        help="run the simulation service (async job-queue HTTP API over "
-             "the sweep runner)",
+        help="run the simulation service (job-queue HTTP API over the "
+             "sweep runner)",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1",

@@ -1,7 +1,8 @@
-"""Simulation-as-a-service: an async job-queue HTTP API over the sweep runner.
+"""Simulation-as-a-service: a job-queue HTTP API over the sweep runner.
 
 The CLI research tool becomes a long-running service in four small,
-dependency-light pieces (stdlib only — ``asyncio`` + ``http`` + ``json``):
+dependency-free pieces (stdlib only — ``http.server``, ``http.client``,
+``threading`` and ``json``):
 
 - :mod:`repro.service.jobs` — job *specs*: validation with actionable
   errors, canonicalization (so equivalent specs share one identity), and
@@ -14,9 +15,10 @@ dependency-light pieces (stdlib only — ``asyncio`` + ``http`` + ``json``):
   transitively, against the on-disk result cache inside the runner), and
   an executor thread batches everything queued into single
   :class:`~repro.sim.runner.SweepRunner` calls on the shared pool.
-- :mod:`repro.service.http` / :mod:`repro.service.client` — the asyncio
-  HTTP front-end (``POST /jobs``, ``GET /jobs/<id>``, NDJSON progress
-  streaming, ``/healthz``, ``/version``) and the tiny stdlib client used
+- :mod:`repro.service.http` / :mod:`repro.service.client` — the HTTP
+  front-end on ``http.server.ThreadingHTTPServer``, a thread per
+  connection (``POST /jobs``, ``GET /jobs/<id>``, NDJSON progress
+  streaming, ``/healthz``, ``/version``), and the tiny stdlib client used
   by tests, examples, and ``python -m repro submit``.
 
 Start it with ``python -m repro serve``; see docs/SERVICE.md for the API

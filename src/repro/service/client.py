@@ -54,8 +54,14 @@ class ServiceClient:
             raise ValueError(f"only http:// URLs are supported, got {base_url!r}")
         netloc = parts.netloc or parts.path  # tolerate "host:port" sans scheme
         host, _, port = netloc.partition(":")
+        port = port or "8000"
+        # Checked here: the resolver would take 99999 for 99999 % 65536.
+        if not (port.isdecimal() and 1 <= int(port) <= 65535):
+            raise ValueError(
+                f"bad port in {base_url!r}: want an integer in 1-65535"
+            )
         self.host = host or "127.0.0.1"
-        self.port = int(port) if port else 8000
+        self.port = int(port)
         self.timeout = timeout
         # Opens its socket on the first request, and again on the next
         # request after a close.

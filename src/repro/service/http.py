@@ -1,4 +1,4 @@
-"""Dependency-light asyncio HTTP front-end for the job manager.
+"""Dependency-free HTTP front-end for the job manager.
 
 Endpoints (all JSON unless noted):
 
@@ -20,31 +20,33 @@ Endpoints (all JSON unless noted):
 - ``GET    /version``         — package version, cache/report schemas,
   and the valid vocabulary (figures, apps, schemes).
 
-The server is intentionally minimal — ``asyncio.start_server`` plus a
-hand-rolled HTTP/1.1 exchange — so the service adds no dependencies beyond
-the standard library. A connection serves one request after another and
+The server is the standard library's :class:`http.server.ThreadingHTTPServer`
+with one request handler, so the service adds no dependencies. Each
+connection has a thread that parses one request after another and hands
+its method, path and ``Content-Length`` body to the routes. A connection
 stays open until the client closes it, asks for ``Connection: close`` or
-speaks HTTP/1.0, sends a malformed request, or sends no next request head
-within ``_READ_TIMEOUT_S``; an event stream is delimited by its close, so
-it ends its connection too. Blocking
-manager calls (submit validation, payload building) are short. Result
-encoding does not run under the manager's lock: the manager holds it
-only to snapshot a record and look up each result's text, which it
-encodes once per result object. Simulations themselves run on the
-manager's executor thread, never on the event loop.
+speaks HTTP/1.0, sends a ``Transfer-Encoding`` body or a malformed
+request, or sends nothing for ``_READ_TIMEOUT_S``; an event stream is
+delimited by its close, so it ends its connection too. Result encoding
+does not run under the manager's lock: the manager holds it only to
+snapshot a record and look up each result's text, which it encodes once
+per result object. Simulations run on the manager's executor thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import re
 import signal
+import socket
+import socketserver
+import sys
 import threading
 import time
 from http import HTTPStatus
-from typing import Callable, Dict, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import repro
 from repro.experiments.common import CACHE_SCHEMA
@@ -60,17 +62,16 @@ from repro.service.manager import (
 from repro.workloads.registry import app_names
 
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{12})(/result|/events)?$")
-_MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
-#: Seconds a client may take to send a request head, and again its body. A
-#: connection whose next request head does not arrive in time is closed
-#: without a response; a body that does not is answered 400.
+#: Seconds each read from a connection may wait. A connection whose next
+#: request does not begin in time is closed without a response; a body
+#: that stalls this long between two reads is answered 400.
 _READ_TIMEOUT_S = 10.0
-#: A live NDJSON stream re-checks its record after 1 ms, doubling the wait
-#: while nothing new arrives up to this cap, and starts again at 1 ms after
-#: new events: a batch that ends just after the stream opens is not
-#: answered 50 ms late, and an idle stream still polls 20 times a second.
+#: Longest a live event stream waits for its job's next event before it
+#: checks whether the server is stopping.
 _STREAM_POLL_S = 0.05
+#: How often BackgroundServer's accept loop checks whether stop() was called.
+_ACCEPT_POLL_S = 0.05
 
 #: A response: its status and its JSON body bytes.
 _Response = Tuple[HTTPStatus, bytes]
@@ -80,199 +81,97 @@ def _json(status: HTTPStatus, payload: Dict) -> _Response:
     return status, (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
-class ServiceServer:
-    """One manager behind one listening socket."""
+class _Handler(BaseHTTPRequestHandler):
+    """One connection's requests, one after another, on its own thread."""
 
-    def __init__(
-        self,
-        manager: JobManager,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        log: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.manager = manager
-        self.host = host
-        self.port = port
-        self._log_sink = log
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: Clients that vanished mid-response (reset/broken pipe). Benign
-        #: for the server, but surfaced in /healthz and the log so a flaky
-        #: client or proxy is visible instead of silently swallowed.
-        self.client_disconnects = 0
-        #: Connections accepted and requests answered, for /healthz: fewer
-        #: connections than requests shows that clients reuse them.
-        self.connections = 0
-        self.requests = 0
-        #: Each open connection's writer and the task that serves it, so
-        #: stop() can end them and a forked pool worker can close them.
-        self._open: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+    protocol_version = "HTTP/1.1"
+    # A response is one send, but an event stream writes its head and its
+    # events apart; with Nagle's algorithm on, the second send would wait
+    # for the client's delayed ACK.
+    disable_nagle_algorithm = True
+    server: "ServiceServer"
 
-    def _log(self, message: str) -> None:
-        if self._log_sink is not None:
-            self._log_sink(message)
+    def setup(self) -> None:
+        # Read per connection, not at import, so tests can shorten it.
+        self.timeout = _READ_TIMEOUT_S
+        super().setup()
+        self.manager = self.server.manager
 
-    async def start(self) -> "ServiceServer":
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._log(
-            f"[service] listening on http://{self.host}:{self.port} "
-            f"({self.manager.workers} worker(s))"
-        )
-        return self
+    def __getattr__(self, name: str):
+        # Every method takes the one path through _dispatch: its body is
+        # read, and an unrouted one gets the JSON 404 (the stdlib answers a
+        # method with no ``do_`` attribute 501).
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled; the caller then awaits :meth:`stop`."""
+    def log_message(self, format: str, *args) -> None:
+        # The stdlib would write every error and idle close to stderr.
+        pass
 
-        assert self._server is not None, "call start() first"
-        # Not asyncio's serve_forever(): once cancelled, it waits (since
-        # 3.12.1) for every open connection to close before stop() could
-        # end the idle ones. The server has been serving since start().
-        await asyncio.get_running_loop().create_future()
+    def parse_request(self) -> bool:
+        # The stdlib closes without a word on a blank request line, and
+        # answers "GET /path" (HTTP/0.9) without a status line.
+        if not self.raw_requestline.strip():
+            self.send_error(HTTPStatus.BAD_REQUEST)
+            return False
+        if not super().parse_request():
+            return False
+        if self.request_version == "HTTP/0.9":
+            self.send_error(HTTPStatus.BAD_REQUEST)
+            return False
+        return True
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            # End every open connection, so that its handler returns rather
-            # than wait out its read timeout: since 3.12.1 wait_closed()
-            # waits for every connection, and a handler still pending would
-            # be destroyed with the loop. A handler that ended cancelled
-            # would make 3.11 and 3.12.1 log a CancelledError traceback.
-            for writer in list(self._open):
-                writer.transport.abort()
-            await asyncio.gather(*self._open.values(), return_exceptions=True)
-            await self._server.wait_closed()
-            self._server = None
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        # Every request that does not parse (an over-long line, too many
+        # headers, a bad version) gets the same answer, then the close.
+        self.close_connection = True
+        self._send(*_json(HTTPStatus.BAD_REQUEST, {"error": "malformed request"}))
 
-    # -- request plumbing --------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        self._open[writer] = asyncio.current_task()
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                        ValueError, asyncio.TimeoutError):
-                    await self._write_body(
-                        writer,
-                        *_json(HTTPStatus.BAD_REQUEST, {"error": "malformed request"}),
-                        keep=False,
-                    )
-                    return
-                if request is None:
-                    return
-                method, path, body, keep = request
-                self.requests += 1
-                response = await self._route(method, path, body, writer)
-                if response is None:  # an event stream, ended by the close
-                    return
-                await self._write_body(writer, *response, keep=keep)
-                if not keep:
-                    return
-        except (ConnectionResetError, BrokenPipeError) as error:
-            # The client went away mid-response; nothing to send back, but
-            # record it rather than dropping the event on the floor.
-            self.client_disconnects += 1
-            self._log(
-                f"[service] client disconnected mid-response "
-                f"({type(error).__name__})"
-            )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError) as error:
-                # Closing an already-dead socket: harmless, but log which
-                # errno so transport-level problems stay diagnosable.
-                self._log(
-                    f"[service] error closing client socket: {error!r}"
-                )
-            # Only now, with the socket closed, may a worker forked from
-            # here on skip it.
-            del self._open[writer]
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes, bool]]:
-        """The connection's next request as ``(method, path, body, keep)``,
-        ``keep`` false when the connection must close after the response;
-        ``None`` when the client closed the connection, or sent no request
-        head within ``_READ_TIMEOUT_S``, before this request began."""
-
-        try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT_S
-            )
-        except asyncio.TimeoutError:
-            return None
-        except asyncio.IncompleteReadError as error:
-            if error.partial:
-                raise
-            return None
-        if len(head) > _MAX_HEAD_BYTES:
-            raise ValueError("request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        method, path, version = lines[0].split(" ", 2)
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise ValueError("bad content length")
-        body = b""
-        if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=_READ_TIMEOUT_S
-            )
-        # Only a Content-Length body is read, so a request framed any other
-        # way leaves bytes that must not be taken for the next request.
-        keep = (
-            version == "HTTP/1.1"
-            and "transfer-encoding" not in headers
-            and "close" not in {
-                token.strip().lower()
-                for token in headers.get("connection", "").split(",")
-            }
-        )
-        return method.upper(), path, body, keep
-
-    async def _write_body(
-        self,
-        writer: asyncio.StreamWriter,
-        status: HTTPStatus,
-        body: bytes,
-        keep: bool,
-    ) -> None:
-        connection = "" if keep else "Connection: close\r\n"
-        writer.write(
+    def _send(self, status: HTTPStatus, body: bytes) -> None:
+        connection = "Connection: close\r\n" if self.close_connection else ""
+        self.wfile.write(
             (
                 f"HTTP/1.1 {status.value} {status.phrase}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"{connection}\r\n"
             ).encode()
+            + body
         )
-        writer.write(body)
-        await writer.drain()
+
+    def _dispatch(self) -> None:
+        # Only a Content-Length body is read, so a request framed any other
+        # way leaves bytes that must not be taken for the next request.
+        self.close_connection = (
+            self.request_version != "HTTP/1.1"
+            or "Transfer-Encoding" in self.headers
+            or "close" in {
+                token.strip().lower()
+                for token in self.headers.get("Connection", "").split(",")
+            }
+        )
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if not 0 <= length <= _MAX_BODY_BYTES:
+                raise ValueError(f"bad content length {length}")
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise ValueError("body cut short")
+        except (ValueError, socket.timeout):
+            self.send_error(HTTPStatus.BAD_REQUEST)
+            return
+        with self.server.lock:
+            self.server.requests += 1
+        response = self._route(self.command.upper(), self.path, body)
+        if response is not None:
+            self._send(*response)
 
     # -- routing -----------------------------------------------------------
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> Optional[_Response]:
+    def _route(self, method: str, path: str, body: bytes) -> Optional[_Response]:
         """The response to one request, or ``None`` when the route has
-        streamed its own response to ``writer``."""
+        streamed its own response."""
 
         if path == "/healthz" and method == "GET":
             return _json(HTTPStatus.OK, self._healthz())
@@ -293,7 +192,7 @@ class ServiceServer:
             if tail == "/result" and method == "GET":
                 return self._get_result(job_id)
             if tail == "/events" and method == "GET":
-                return await self._stream_events(job_id, writer)
+                return self._stream_events(job_id)
         return _json(
             HTTPStatus.NOT_FOUND, {"error": f"no route for {method} {path}"}
         )
@@ -302,14 +201,19 @@ class ServiceServer:
         from repro.experiments import common
         from repro.sim import store as result_store
 
+        server = self.server
+        with server.lock:
+            counters = {
+                "client_disconnects": server.client_disconnects,
+                "connections": server.connections,
+                "requests": server.requests,
+            }
         return {
             "status": "ok",
             "uptime_s": time.time() - self.manager.started_at,
             "jobs": self.manager.counts(),
             "pool": self.manager.pool.stats(),
-            "client_disconnects": self.client_disconnects,
-            "connections": self.connections,
-            "requests": self.requests,
+            **counters,
             "store": {
                 "cache_dir": common._CACHE_DIR,
                 **result_store.counters_snapshot(),
@@ -379,71 +283,129 @@ class ServiceServer:
             HTTPStatus.CONFLICT, {"job_id": job_id, "state": state, "error": reason}
         )
 
-    async def _stream_events(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> Optional[_Response]:
-        snapshot = self.manager.events_since(job_id, 0)
-        if snapshot is None:
+    def _stream_events(self, job_id: str) -> Optional[_Response]:
+        if self.manager.events_since(job_id, 0) is None:
             return _json(HTTPStatus.NOT_FOUND, {"error": f"unknown job {job_id}"})
-        writer.write(
-            (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode()
+        self.close_connection = True
+        self.wfile.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Connection: close\r\n\r\n"
         )
-        seq, delay = 0, 0.001
-        while True:
-            snapshot = self.manager.events_since(job_id, seq)
-            if snapshot is None:  # record vanished (cannot happen today)
-                break
-            events, state = snapshot
-            for event in events:
-                writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-                seq = event["seq"] + 1
-            await writer.drain()
+        seq, state = 0, None
+        while state not in TERMINAL_STATES and not self.server.stopping:
+            events, state = self.manager.events_since(job_id, seq, _STREAM_POLL_S)
             if events:
-                delay = 0.001
-            elif state in TERMINAL_STATES:
-                break
-            else:
-                await asyncio.sleep(delay)
-                delay = min(2 * delay, _STREAM_POLL_S)
+                self.wfile.write("".join(
+                    json.dumps(event, sort_keys=True) + "\n" for event in events
+                ).encode())
+                seq += len(events)
         return None
 
 
-async def _serve_async(server: ServiceServer) -> None:
-    # SIGTERM takes the Ctrl-C path: it cancels this task, so the server
-    # stops and serve() closes the pool. Closing the loop restores the
-    # default action, so a second SIGTERM during that close kills at once.
-    asyncio.get_running_loop().add_signal_handler(
-        signal.SIGTERM, asyncio.current_task().cancel
-    )
-    await server.start()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        # Normal shutdown path (Ctrl-C or SIGTERM cancels the main task);
-        # announce it instead of exiting silently.
-        server._log("[service] shutdown requested; stopping")
-    finally:
-        await server.stop()
+class ServiceServer(ThreadingHTTPServer):
+    """One manager behind one listening socket, a thread per connection."""
+
+    # Not daemons, so server_close() joins every handler thread.
+    daemon_threads = False
+    # Room for a burst of connects while the accept loop starts threads;
+    # past the stdlib's 5, the kernel would drop them for a resend.
+    request_queue_size = 100
+
+    def __init__(
+        self,
+        manager: JobManager,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        log: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        self.manager = manager
+        self._log_sink = log
+        #: Guards the counters and ``_open``.
+        self.lock = threading.Lock()
+        #: Clients that vanished mid-response (reset/broken pipe). Benign
+        #: for the server, but surfaced in /healthz and the log so a flaky
+        #: client or proxy is visible instead of silently swallowed.
+        self.client_disconnects = 0
+        #: Connections accepted and requests answered, for /healthz: fewer
+        #: connections than requests shows that clients reuse them.
+        self.connections = 0
+        self.requests = 0
+        #: Each open connection, so server_close() can end them and a
+        #: forked pool worker can close them.
+        self._open: Set[socket.socket] = set()
+        #: Set by server_close(); a live event stream then ends.
+        self.stopping = False
+        self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        super().__init__((host, port), _Handler)
+        self.host, self.port = host, self.server_address[1]
+        self._log(
+            f"[service] listening on http://{self.host}:{self.port} "
+            f"({manager.workers} worker(s))"
+        )
+
+    def _log(self, message: str) -> None:
+        if self._log_sink is not None:
+            self._log_sink(message)
+
+    def server_bind(self) -> None:
+        # Not HTTPServer's, which also looks up the host's domain name: a
+        # reverse DNS query at start-up for a name nothing here uses.
+        socketserver.TCPServer.server_bind(self)
+
+    def process_request(self, request: socket.socket, client_address) -> None:
+        with self.lock:
+            self.connections += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        super().shutdown_request(request)
+        # Only now, with the socket closed, may a worker forked from here
+        # on skip it.
+        with self.lock:
+            self._open.discard(request)
+
+    def handle_error(self, request: socket.socket, client_address) -> None:
+        error = sys.exc_info()[1]
+        if not isinstance(error, (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)  # the traceback
+            return
+        # The client went away mid-response; nothing to send back, but
+        # record it rather than dropping the event on the floor.
+        with self.lock:
+            self.client_disconnects += 1
+        self._log(
+            f"[service] client disconnected mid-response ({type(error).__name__})"
+        )
+
+    def server_close(self) -> None:
+        """Stop listening and end every open connection, idle or not, then
+        wait for each handler thread to return."""
+
+        self.stopping = True
+        with self.lock:
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the peer or its handler closed it first
+                    pass
+        super().server_close()
 
 
 def _detach_worker(server: ServiceServer) -> None:
-    # Runs in each forked pool worker. With the loop's handler inherited,
-    # a worker would ignore the pool's terminate() and pass the signal
-    # through the inherited wakeup fd to the server's loop, stopping it.
+    # Runs in each forked pool worker, where only the forking thread goes
+    # on: a handler thread may have held server.lock, so take no lock.
+    # With the server's handler inherited, a worker would answer the pool's
+    # terminate() with a KeyboardInterrupt instead of dying.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Nor may a worker hold the listening socket: orphaned by a SIGKILL of
     # the server, it would keep the port bound. Nor a client's connection:
     # the server's close would not end it while the worker held a copy.
-    if server._server is not None:
-        for sock in server._server.sockets:
-            os.close(sock.fileno())
-    for writer in list(server._open):
-        fd = writer.get_extra_info("socket").fileno()
-        if fd >= 0:  # -1 once the transport has closed it
+    # Detached, the worker's socket objects can never close a reused fd.
+    for sock in (server.socket, *server._open):
+        fd = sock.detach()
+        if fd >= 0:  # -1 once the server has closed it
             os.close(fd)
 
 
@@ -454,21 +416,26 @@ def serve(
     log: Optional[Callable[[str], None]] = print,
 ) -> None:
     """Run the service in the foreground until SIGINT or SIGTERM (the
-    ``python -m repro serve`` entry point); either one closes the pool."""
+    ``python -m repro serve`` entry point). Either one, or an ``OSError``
+    from binding ``host:port``, closes the manager and its pool."""
 
-    server = ServiceServer(manager, host=host, port=port, log=log)
-    os.register_at_fork(after_in_child=lambda: _detach_worker(server))
-    try:
-        asyncio.run(_serve_async(server))
-    except KeyboardInterrupt:
-        if log is not None:
-            log("[service] interrupted; shutting down")
-    finally:
-        manager.close()
+    with manager, ServiceServer(manager, host=host, port=port, log=log) as server:
+        os.register_at_fork(after_in_child=lambda: _detach_worker(server))
+        # SIGTERM takes the Ctrl-C path: a KeyboardInterrupt on this, the
+        # main thread, where the accept loop runs.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            if log is not None:
+                log("[service] interrupted; shutting down")
+        finally:
+            # A second SIGTERM while the pool closes kills at once.
+            signal.signal(signal.SIGTERM, previous)
 
 
 class BackgroundServer:
-    """The server on a daemon thread with its own event loop.
+    """The server's accept loop on a daemon thread.
 
     For tests, examples, and anything that wants to drive the HTTP API
     from the same process::
@@ -481,10 +448,11 @@ class BackgroundServer:
         self, manager: JobManager, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self._server = ServiceServer(manager, host=host, port=port)
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
         self._thread = threading.Thread(
-            target=self._run, name="repro-service-http", daemon=True
+            target=self._server.serve_forever,
+            args=(_ACCEPT_POLL_S,),
+            name="repro-service-http",
+            daemon=True,
         )
 
     @property
@@ -495,24 +463,15 @@ class BackgroundServer:
     def url(self) -> str:
         return f"http://{self._server.host}:{self._server.port}"
 
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_until_complete(self._server.start())
-        self._started.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(self._server.stop())
-        self._loop.close()
-
     def start(self) -> "BackgroundServer":
         self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("service HTTP server failed to start")
         return self
 
     def stop(self) -> None:
         if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
+            self._server.shutdown()
+            self._thread.join()
+        self._server.server_close()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

@@ -200,7 +200,6 @@ class JobManager:
             self._by_spec[key] = record.job_id
             self._queue.append(record.job_id)
             self._event(record, "state", state=QUEUED)
-            self._cond.notify_all()
         self._log(f"[service] job {record.job_id} queued ({len(jobs)} sim jobs)")
         return record, False
 
@@ -364,24 +363,31 @@ class JobManager:
         return entry[1], entry[2]
 
     def events_since(
-        self, job_id: str, seq: int
+        self, job_id: str, seq: int, timeout: float = 0.0
     ) -> Optional[Tuple[List[Dict], str]]:
         """Events with ``seq >= seq`` plus the current state (for NDJSON
-        streaming); ``None`` for unknown jobs."""
+        streaming); ``None`` for unknown jobs. Waits up to ``timeout``
+        seconds for an event past ``seq`` unless the job is terminal."""
 
-        with self._lock:
+        with self._cond:
             record = self._records.get(job_id)
             if record is None:
                 return None
+            self._cond.wait_for(
+                lambda: len(record.events) > seq or record.state in TERMINAL_STATES,
+                timeout,
+            )
             return [dict(e) for e in record.events[seq:]], record.state
 
     # -- executor loop -------------------------------------------------------
 
     def _event(self, record: JobRecord, kind: str, **data) -> None:
-        # Caller holds self._lock.
+        # Caller holds self._lock. Wakes every waiter: event streams, wait()
+        # for a terminal state, and the executor loop for a queued job.
         record.events.append(
             {"seq": len(record.events), "t": time.time(), "type": kind, **data}
         )
+        self._cond.notify_all()
 
     def _finish(self, record: JobRecord, state: str, error: Optional[str] = None) -> None:
         # Caller holds self._lock.
@@ -389,7 +395,6 @@ class JobManager:
         record.finished_s = time.time()
         record.error = error
         self._event(record, "state", state=state, **({"error": error} if error else {}))
-        self._cond.notify_all()
 
     def _loop(self) -> None:
         while True:
@@ -407,7 +412,6 @@ class JobManager:
                     record.state = RUNNING
                     record.started_s = now
                     self._event(record, "state", state=RUNNING)
-                self._cond.notify_all()
             for group in self._group_by_knobs(batch):
                 self._run_group(group)
 

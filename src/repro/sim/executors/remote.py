@@ -398,6 +398,8 @@ class RemoteExecutor(SweepExecutor):
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
         if width is not None and width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
+        if not start_timeout_s > 0:  # NaN too
+            raise ValueError(f"start_timeout_s must be > 0, got {start_timeout_s}")
         if coordinator is None:
             host, port = parse_address(bind)
             coordinator = Coordinator(host, port)

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+import socket
 
 import pytest
 
@@ -204,6 +206,18 @@ class TestSweepCommand:
         assert rc == 0
         assert "hit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag", [["--min-workers", "0"], ["--jobs", "0"], ["--start-timeout", "0"]],
+        ids=lambda flag: f"{flag[0][2:]}={flag[1]}",
+    )
+    def test_bad_remote_flag_exits_2_with_one_error_line(self, capsys, flag):
+        assert main(["sweep", "fig13bc", "--executor", "remote",
+                     "--scale", "0.05"] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no coordinator was started
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro sweep: error: "), line
+
 
 class TestTraceCommand:
     def test_parser_uppercases_app(self):
@@ -308,6 +322,56 @@ class TestServiceCommands:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", [
+        "ftp://x", "http://127.0.0.1:notaport", "http://127.0.0.1:99999",
+        "http://127.0.0.1:0",
+    ])
+    def test_unusable_url_exits_2_naming_it(self, capsys, url):
+        from repro.service.client import ServiceClient
+
+        with pytest.raises(ValueError, match=re.escape(repr(url))):
+            ServiceClient(url)
+        for argv in (["submit", "fig13", "--url", url],
+                     ["submit", "--url", url, "--status", "feedfacecafe"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("repro submit: error: ") and url in line, line
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_out_of_range_exits_2(self, capsys, port):
+        assert main(["serve", "--port", port, "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"repro serve: error: --port must be in 0-65535, got {port}"
+
+    def test_serve_port_in_use_exits_1_with_the_manager_closed(
+        self, capsys, monkeypatch
+    ):
+        from repro.service.manager import JobManager
+
+        closed = []
+        close = JobManager.close
+
+        def recording_close(manager):
+            close(manager)
+            closed.append(manager)
+
+        monkeypatch.setattr(JobManager, "close", recording_close)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            assert main(["serve", "--port", str(port), "--jobs", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro serve: error: 127.0.0.1:{port}: "), line
+        (manager,) = closed
+        assert not manager._thread.is_alive()
+        with pytest.raises(RuntimeError, match="closed"):
+            manager.pool.acquire(1)
 
     def test_submit_end_to_end_against_live_server(
         self, capsys, monkeypatch, tmp_path
