@@ -227,7 +227,7 @@ def cmd_trace(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.experiments import common
     from repro.experiments.report import SWEEP_GRIDS
-    from repro.sim.runner import SweepAbort, SweepRunner
+    from repro.sim.runner import SweepAbort, SweepRunner, telemetry_rows_from_json
 
     if args.cache_dir:
         common._CACHE_DIR = args.cache_dir
@@ -249,6 +249,9 @@ def cmd_sweep(args) -> int:
         except ValueError as error:
             print(f"repro sweep: error: {error}", file=sys.stderr)
             return 2
+        except OSError as error:  # e.g. the port is in use
+            print(f"repro sweep: error: {args.bind}: {error}", file=sys.stderr)
+            return 1
         address = remote_executor.coordinator.address
         print(f"[sweep] coordinator listening on {address}")
         print(f"[sweep] start workers with: repro worker --connect {address}")
@@ -298,7 +301,7 @@ def cmd_sweep(args) -> int:
     if args.telemetry:
         print()
         print("Per-job telemetry:")
-        print(format_plain(report.telemetry_rows()))
+        print(format_plain(telemetry_rows_from_json(report.to_json())))
         if report.hotspots:
             print()
             print("Hotspots (cProfile cumulative, merged across workers):")
@@ -634,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
         help="remote executor only: coordinator listen address "
-             "(default: 127.0.0.1:0 — an ephemeral port, printed at start)",
+             "(default: 127.0.0.1:0 — an ephemeral port, printed at start; "
+             "an IPv6 host as [::1]:PORT or ::1:PORT)",
     )
     sweep_parser.add_argument(
         "--min-workers", dest="min_workers", type=int, default=1,

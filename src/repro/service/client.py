@@ -52,16 +52,19 @@ class ServiceClient:
         parts = urlsplit(base_url)
         if parts.scheme not in ("", "http"):
             raise ValueError(f"only http:// URLs are supported, got {base_url!r}")
-        netloc = parts.netloc or parts.path  # tolerate "host:port" sans scheme
-        host, _, port = netloc.partition(":")
-        port = port or "8000"
-        # Checked here: the resolver would take 99999 for 99999 % 65536.
-        if not (port.isdecimal() and 1 <= int(port) <= 65535):
+        if not parts.netloc:  # tolerate "host:port" sans scheme
+            parts = urlsplit(f"//{parts.path}")
+        try:
+            port = 8000 if parts.port is None else parts.port
+        except ValueError:  # not an integer, or outside 0-65535
+            port = 0
+        if not 1 <= port <= 65535:
             raise ValueError(
                 f"bad port in {base_url!r}: want an integer in 1-65535"
             )
-        self.host = host or "127.0.0.1"
-        self.port = int(port)
+        # An IPv6 literal comes without its brackets.
+        self.host = parts.hostname or "127.0.0.1"
+        self.port = port
         self.timeout = timeout
         # Opens its socket on the first request, and again on the next
         # request after a close.

@@ -338,10 +338,12 @@ class ServiceServer(ThreadingHTTPServer):
         self.stopping = False
         self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
         super().__init__((host, port), _Handler)
-        self.host, self.port = host, self.server_address[1]
+        self.port = self.server_address[1]
+        # An IPv6 literal goes in brackets, so that the URL parses.
+        bracketed = f"[{host}]" if ":" in host else host
+        self.url = f"http://{bracketed}:{self.port}"
         self._log(
-            f"[service] listening on http://{self.host}:{self.port} "
-            f"({manager.workers} worker(s))"
+            f"[service] listening on {self.url} ({manager.workers} worker(s))"
         )
 
     def _log(self, message: str) -> None:
@@ -461,7 +463,7 @@ class BackgroundServer:
 
     @property
     def url(self) -> str:
-        return f"http://{self._server.host}:{self._server.port}"
+        return self._server.url
 
     def start(self) -> "BackgroundServer":
         self._thread.start()

@@ -4,7 +4,7 @@ drives.
 An executor owns *where* simulation attempts run — in-process, on a local
 process pool (private per sweep, or the service's shared one), or on
 remote worker processes — while the runner keeps owning *what* runs:
-dedup, retries with backoff, per-job timeouts, crash attribution, report
+dedup, immediate retries, per-job timeouts, crash attribution, report
 assembly, and every read and write of the result store. Every backend
 runs the same attempt, :func:`~repro.sim.runner.run_attempt`, which only
 simulates, and one collection loop drives them all:
@@ -26,11 +26,12 @@ simulates, and one collection loop drives them all:
 from __future__ import annotations
 
 from concurrent.futures import Future
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.sim.runner import SweepJob, WorkerOutcome
+from repro.sim.runner import SpecFault, SweepJob, WorkerOutcome
 
-FaultHook = Optional[Callable[[SweepJob, int], None]]
+#: The ``REPRO_FAULT_SPEC`` hook the runner sends with every attempt.
+FaultHook = Optional[SpecFault]
 
 
 class SweepExecutor:

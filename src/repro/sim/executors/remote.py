@@ -119,11 +119,14 @@ def _recv_msg(sock: socket.socket) -> Tuple:
 
 
 def parse_address(address: str) -> Tuple[str, int]:
-    """``"HOST:PORT"`` → ``(host, port)`` (host defaults to 127.0.0.1)."""
+    """``"HOST:PORT"`` → ``(host, port)`` (host defaults to 127.0.0.1). An
+    IPv6 host may come bracketed (``[::1]:PORT``) or bare (``::1:PORT``)."""
 
     host, sep, port = address.rpartition(":")
     if not sep or not port.isdigit():
         raise ValueError(f"bad address {address!r}: want HOST:PORT")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     return host or "127.0.0.1", int(port)
 
 
@@ -147,11 +150,14 @@ class Coordinator:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._sock = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._sock = socket.create_server((host, port), family=family)
         self._sock.settimeout(0.2)  # lets the accept loop observe close()
         bound = self._sock.getsockname()
         self.host, self.port = bound[0], bound[1]
-        self.address = f"{self.host}:{self.port}"
+        # An IPv6 literal goes in brackets, so that parse_address reads it.
+        bracketed = f"[{self.host}]" if ":" in self.host else self.host
+        self.address = f"{bracketed}:{self.port}"
         self._cond = threading.Condition()
         self._queue: Deque[_RemoteTask] = deque()
         self._live: Dict[int, _RemoteTask] = {}

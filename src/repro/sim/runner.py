@@ -22,14 +22,15 @@ such a grid:
   nothing mutable, and results are reassembled by submission index — a
   parallel sweep returns byte-identical results to a serial one, in
   submission order (``tests/sim/test_runner.py`` enforces this).
-- **Fault-tolerant**: failed attempts are retried with exponential
-  backoff (``max_retries``), hung jobs are bounded by a per-job
-  ``timeout``, and a crashed worker (``BrokenProcessPool``) does not abort
-  the sweep: the executor is recycled and the lost jobs re-submitted.
-  Jobs that repeatedly coincide with crashes are re-run one at a time in
-  the backend's most isolated context, so an innocent bystander of a
-  crashing neighbour still completes and the true culprit is attributed
-  precisely. A job that still fails after all of that becomes a terminal
+- **Fault-tolerant**: a failed attempt is resubmitted at once while
+  retries remain (``max_retries``) — the simulation is deterministic, so
+  a delay would not change its outcome — hung jobs are bounded by a
+  per-job ``timeout``, and a crashed worker (``BrokenProcessPool``) does
+  not abort the sweep: the executor is recycled and the lost jobs
+  re-submitted. Jobs that repeatedly coincide with crashes are re-run
+  one at a time in the backend's most isolated context, so an innocent
+  bystander of a crashing neighbour still completes and the true culprit
+  is attributed precisely. A job that still fails after all of that becomes a terminal
   :class:`JobFailure` record; with ``keep_going=True`` the sweep finishes
   every other job and returns ``None`` at the failed slots, otherwise
   :class:`SweepAbort` is raised (completed results survive in the caches
@@ -43,11 +44,13 @@ such a grid:
   each simulated job additionally contributes cProfile hotspots that are
   merged across workers into ``SweepReport.hotspots``.
 
-Fault injection (tests / CI): pass a picklable ``fault`` callable to
-:class:`SweepRunner` — invoked as ``fault(job, attempt)`` in the executing
-process right before the simulation — or set the ``REPRO_FAULT_SPEC``
-environment variable (see :func:`parse_fault_spec`) to inject exceptions,
-hangs, and hard crashes deterministically.
+Fault injection (tests / CI): set the ``REPRO_FAULT_SPEC`` environment
+variable (see :func:`parse_fault_spec`) before building a
+:class:`SweepRunner` to inject exceptions, hangs, and hard crashes
+deterministically. The runner parses it once and sends the resulting
+:class:`SpecFault` with every attempt, which calls it as
+``fault(job, attempt)`` in the executing process right before the
+simulation, so every backend sees the same faults.
 
 Caches: the runner's process is the only place a sweep reads or writes
 them. It resolves one store per run from
@@ -99,8 +102,6 @@ FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 EXECUTOR_NAMES = ("serial", "pool", "remote")
 
 DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.05
-_BACKOFF_CAP_S = 2.0
 
 #: Version tag of :meth:`SweepReport.to_json` payloads. Bump whenever the
 #: serialized shape of the report (or of its timing/failure/hotspot rows)
@@ -214,10 +215,6 @@ class SweepReport:
     #: when no disk cache is configured.
     store: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def duplicate_jobs(self) -> int:
-        return self.jobs_submitted - self.unique_jobs
-
     def _simulated_durations(self) -> List[float]:
         return sorted(t.duration_s for t in self.timings if not t.cached)
 
@@ -249,7 +246,7 @@ class SweepReport:
         wall clock, per-job timings, terminal failures, merged hotspots —
         and both the service's result endpoint and ``repro sweep``'s
         ``--telemetry``/``--json`` output are rendered from this one form
-        (see :meth:`telemetry_rows` / :meth:`from_json`).
+        (see :func:`telemetry_rows_from_json`).
         """
 
         return {
@@ -270,57 +267,6 @@ class SweepReport:
             "hotspots": [_row(hotspot) for hotspot in self.hotspots],
             "store": dict(self.store),
         }
-
-    @classmethod
-    def from_json(cls, payload: Dict) -> "SweepReport":
-        """Inverse of :meth:`to_json`. Raises ``ValueError`` on payloads
-        that are not a well-formed report of the current schema."""
-
-        if not isinstance(payload, dict):
-            raise ValueError(f"sweep-report payload must be an object, got {type(payload).__name__}")
-        if payload.get("schema") != REPORT_SCHEMA:
-            raise ValueError(
-                f"sweep-report payload has schema {payload.get('schema')!r} "
-                f"(want {REPORT_SCHEMA!r})"
-            )
-        try:
-            return cls(
-                jobs_submitted=payload["jobs_submitted"],
-                unique_jobs=payload["unique_jobs"],
-                cache_hits=payload["cache_hits"],
-                jobs_simulated=payload["jobs_simulated"],
-                workers=payload["workers"],
-                wall_clock_s=payload["wall_clock_s"],
-                retries=payload["retries"],
-                profiled=payload["profiled"],
-                timings=[JobTiming(**timing) for timing in payload["timings"]],
-                failures=[JobFailure(**failure) for failure in payload["failures"]],
-                hotspots=[Hotspot(**hotspot) for hotspot in payload["hotspots"]],
-                # Tolerant read: archived v1 payloads predate the store
-                # counters (additive key, same schema tag).
-                store=dict(payload.get("store", {})),
-            )
-        except (KeyError, TypeError) as error:
-            raise ValueError(f"malformed sweep-report payload: {error!r}") from None
-
-    def telemetry_rows(self) -> List[Dict]:
-        """Per-job telemetry as table rows (``--telemetry`` / report.py).
-
-        One row per unique job in recording order: app, scheme, cache
-        hit/miss, wall seconds, attempts, worker pid; terminal failures
-        append rows of their own so the table covers every unique job.
-        Rendered from the structured :meth:`to_json` form so the CLI table
-        and the service payload can never drift apart.
-        """
-
-        return telemetry_rows_from_json(self.to_json())
-
-    def slowest_jobs(self, count: int = 5) -> List[JobTiming]:
-        """The ``count`` slowest simulated (non-cached) jobs."""
-
-        simulated = [t for t in self.timings if not t.cached]
-        simulated.sort(key=lambda t: -t.duration_s)
-        return simulated[:count]
 
     def hotspot_lines(self) -> List[str]:
         """One line per merged cProfile hotspot (empty unless profiled)."""
@@ -406,15 +352,15 @@ class SpecFault:
     """Picklable fault hook built from a ``REPRO_FAULT_SPEC`` string.
 
     Invoked as ``fault(job, attempt)`` in the executing process. ``crash``
-    rules hard-kill that process with ``os._exit`` — but never the parent
-    runner process (the serial path degrades them to
+    rules hard-kill that process with ``os._exit`` — but never the process
+    that parsed the spec, the runner's (the serial path degrades them to
     :class:`FaultInjection` so a misconfigured spec cannot take down the
     whole sweep, let alone pytest).
     """
 
-    def __init__(self, rules: Sequence[_FaultRule], parent_pid: int) -> None:
+    def __init__(self, rules: Sequence[_FaultRule]) -> None:
         self.rules = list(rules)
-        self.parent_pid = parent_pid
+        self.parent_pid = os.getpid()
 
     def __call__(self, job: SweepJob, attempt: int) -> None:
         for rule in self.rules:
@@ -441,7 +387,7 @@ class SpecFault:
                 os._exit(42)
 
 
-def parse_fault_spec(text: str, parent_pid: Optional[int] = None) -> SpecFault:
+def parse_fault_spec(text: str) -> SpecFault:
     """Parse a deterministic fault-injection spec into a fault callable.
 
     Grammar (rules separated by ``;``)::
@@ -484,7 +430,7 @@ def parse_fault_spec(text: str, parent_pid: Optional[int] = None) -> SpecFault:
         )
     if not rules:
         raise ValueError(f"empty fault spec {text!r}")
-    return SpecFault(rules, parent_pid if parent_pid is not None else os.getpid())
+    return SpecFault(rules)
 
 
 # -- job plumbing ------------------------------------------------------------
@@ -506,9 +452,7 @@ class WorkerOutcome:
 
 
 def run_attempt(
-    job: SweepJob,
-    attempt: int,
-    fault: Optional[Callable[[SweepJob, int], None]],
+    job: SweepJob, attempt: int, fault: Optional[SpecFault]
 ) -> WorkerOutcome:
     """One attempt, the body every backend runs wherever it executes:
     fault hook, optional profiler, then
@@ -543,7 +487,6 @@ class _Pending:
     job: SweepJob
     key: str
     attempt: int = 1
-    not_before: float = 0.0  # monotonic gate implementing retry backoff
     submitted: float = 0.0  # monotonic submission time of the live attempt
 
     @property
@@ -568,18 +511,12 @@ class SweepRunner:
         simulation cannot be preempted.
     max_retries:
         Extra attempts granted to a failing job beyond the first
-        (``None`` = 2).
-    retry_backoff_s:
-        Base of the exponential backoff between attempts (capped at 2s).
+        (``None`` = 2), each resubmitted as soon as its attempt fails.
     keep_going:
         When ``True``, a terminally failed job becomes a
         :class:`JobFailure` record plus a ``None`` result placeholder and
         the sweep continues; when ``False`` (default) the first terminal
         failure raises :class:`SweepAbort`.
-    fault:
-        Optional picklable fault-injection hook ``fault(job, attempt)``
-        run in the executing process before each simulation attempt.
-        Defaults to ``REPRO_FAULT_SPEC`` (parsed) when set.
     executor:
         Which backend executes attempts (see :mod:`repro.sim.executors`):
         ``"pool"`` (default) fans across a
@@ -599,9 +536,7 @@ class SweepRunner:
         progress: Optional[Callable[[str], None]] = None,
         timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
-        retry_backoff_s: Optional[float] = None,
         keep_going: bool = False,
-        fault: Optional[Callable[[SweepJob, int], None]] = None,
         executor: Union[str, "SweepExecutor"] = "pool",
     ) -> None:
         if jobs is not None and jobs < 1:
@@ -614,15 +549,9 @@ class SweepRunner:
         self.max_retries = DEFAULT_MAX_RETRIES if max_retries is None else max_retries
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        self.retry_backoff_s = (
-            retry_backoff_s if retry_backoff_s is not None else DEFAULT_BACKOFF_S
-        )
         self.keep_going = keep_going
-        if fault is None:
-            spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
-            if spec:
-                fault = parse_fault_spec(spec)
-        self.fault = fault
+        spec = os.environ.get(FAULT_SPEC_ENV, "").strip()
+        self.fault = parse_fault_spec(spec) if spec else None
         if isinstance(executor, str):
             if executor not in EXECUTOR_NAMES:
                 raise ValueError(
@@ -731,13 +660,6 @@ class SweepRunner:
             return SerialExecutor()
         return executor
 
-    def _backoff_delay(self, failed_attempts: int) -> float:
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        return min(
-            _BACKOFF_CAP_S, self.retry_backoff_s * (2 ** max(0, failed_attempts - 1))
-        )
-
     # -- the collection loop -----------------------------------------------
 
     def _collect(self, common, store, pending, resolved, report) -> None:
@@ -804,7 +726,7 @@ class SweepRunner:
                 raise SweepAbort(failure, report)
 
         def retry(entry: _Pending, error: BaseException, disposition: str) -> None:
-            # Every failed attempt is re-queued with backoff while retries
+            # Every failed attempt is re-queued at once while retries
             # remain. Past that, a crash goes to the isolation pass (every
             # in-flight future reports the same BrokenProcessPool, so the
             # culprit is unknown) and anything else fails terminally.
@@ -815,9 +737,6 @@ class SweepRunner:
                     f"(attempt {entry.attempt} failed: {error!r})"
                 )
                 entry.attempt += 1
-                entry.not_before = time.monotonic() + self._backoff_delay(
-                    entry.attempt - 1
-                )
                 queue.append(entry)
             elif disposition == "crash":
                 suspects.append(entry)
@@ -829,23 +748,15 @@ class SweepRunner:
             # have the backend replace it. In-flight jobs are re-queued as
             # innocent collateral with their attempt counts untouched, so
             # only genuinely failing jobs burn retries.
-            for entry in in_flight.values():
-                entry.not_before = 0.0
-                queue.append(entry)
+            queue.extend(in_flight.values())
             in_flight.clear()
             executor.recycle(reason)
             self._log(f"[sweep] {reason}; executor recycled, lost jobs re-queued")
 
         try:
             while queue or in_flight:
-                now = time.monotonic()
-                for _ in range(len(queue)):
-                    if len(in_flight) >= workers:
-                        break
+                while queue and len(in_flight) < workers:
                     entry = queue.popleft()
-                    if entry.not_before > now:
-                        queue.append(entry)
-                        continue
                     try:
                         future = executor.submit(entry.job, entry.attempt, self.fault)
                     except (BrokenProcessPool, RuntimeError):
@@ -855,10 +766,7 @@ class SweepRunner:
                     entry.submitted = time.monotonic()
                     in_flight[future] = entry
                 write_finished()
-                if not in_flight:
-                    # Everything queued is backing off; sleep to the gate.
-                    gate = min(entry.not_before for entry in queue)
-                    time.sleep(max(0.0, gate - time.monotonic()))
+                if not in_flight:  # the executor broke on submit
                     continue
 
                 wait_timeout = None
@@ -866,14 +774,6 @@ class SweepRunner:
                     nearest = min(e.submitted for e in in_flight.values())
                     wait_timeout = (
                         max(0.0, nearest + self.timeout - time.monotonic()) + 0.01
-                    )
-                gates = [e.not_before for e in queue if e.not_before > now]
-                if gates and len(in_flight) < workers:
-                    gate_wait = max(0.0, min(gates) - now) + 0.001
-                    wait_timeout = (
-                        gate_wait
-                        if wait_timeout is None
-                        else min(wait_timeout, gate_wait)
                     )
                 finished, _ = wait(
                     set(in_flight), timeout=wait_timeout, return_when=FIRST_COMPLETED

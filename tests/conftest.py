@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.config import SystemConfig, TxScheme, table1_config
@@ -22,6 +24,18 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_goldens(request) -> bool:
     return bool(request.config.getoption("--update-goldens"))
+
+
+@pytest.fixture
+def ipv6_loopback() -> str:
+    """``"::1"``; skips the test on a machine without IPv6 loopback."""
+
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        pytest.skip("no IPv6 loopback on this machine")
+    return "::1"
 
 
 @pytest.fixture

@@ -290,16 +290,28 @@ class TestReportSections:
         reports the experiment results carry, and only from those."""
 
         from repro.experiments import report as report_module
-        from repro.sim.runner import JobFailure, SweepReport
+        from repro.sim.runner import JobFailure, JobTiming, SweepReport
 
         failure = JobFailure(
             key="k", app_name="ATAX", scheme="lds", attempts=3, error="boom",
             disposition="crash",
         )
+
+        def timing(app, duration_s, cached=False):
+            return JobTiming(
+                key=app, app_name=app, scheme="lds", duration_s=duration_s,
+                cached=cached, attempts=0 if cached else 1,
+                worker_pid=0 if cached else 7,
+            )
+
         reports = [
             SweepReport(jobs_submitted=3, cache_hits=1, jobs_simulated=2,
-                        failures=[failure]),
-            SweepReport(jobs_submitted=2, cache_hits=2),
+                        failures=[failure],
+                        timings=[timing("GUPS", 2.0), timing("NW", 9.0, cached=True),
+                                 timing("SRAD", 0.5), timing("BFS", 4.0)]),
+            SweepReport(jobs_submitted=2, cache_hits=2,
+                        timings=[timing("MVT", 3.0), timing("BICG", 1.0),
+                                 timing("GEV", 5.0)]),
             None,
         ]
 
@@ -319,3 +331,11 @@ class TestReportSections:
             "2 harness sweep(s): 5 job(s) submitted, 3 cache hit(s), 2 simulated"
             in text
         )
+        # The five slowest simulated cells across reports, slowest first;
+        # the cache hit is not a simulated cell, however long it reads.
+        listed = text.split("Slowest simulated cells:\n\n", 1)[1].split("\n\n", 1)[0]
+        assert listed.splitlines() == [
+            f"- {app} lds: {seconds}s (1 attempt(s), worker 7)"
+            for app, seconds in (("GEV", "5.00"), ("BFS", "4.00"), ("MVT", "3.00"),
+                                 ("GUPS", "2.00"), ("BICG", "1.00"))
+        ]

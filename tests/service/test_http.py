@@ -329,6 +329,13 @@ class TestHandler:
                     sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
                     assert sock.recv(17) == b"HTTP/1.1 200 OK\r\n"
 
+    def test_ipv6_server_url_reaches_the_server(self, ipv6_loopback):
+        with JobManager(workers=1, autostart=False) as manager:
+            with BackgroundServer(manager, host=ipv6_loopback) as server:
+                assert server.url == f"http://[::1]:{server.port}"
+                with ServiceClient(server.url) as client:
+                    assert client.healthz()["status"] == "ok"
+
     def test_connections_send_without_nagle(self, live):
         _, server, client = live
         client.healthz()

@@ -138,20 +138,14 @@ class TestConcurrentMode:
 
 # -- fault-injected execution ------------------------------------------------
 
-# Module-level so the hook pickles across any multiprocessing start method.
-def _fail_first_attempt(job, attempt):
-    if attempt <= 1:
-        raise RuntimeError("injected transient fault")
-
 
 class TestFaultRetries:
     """A retried (fault-injected) sweep yields the same bytes as a clean run."""
 
-    def test_retry_equivalence(self):
+    def test_retry_equivalence(self, monkeypatch):
         reference = run_app("NW", table1_config())
-        runner = SweepRunner(
-            jobs=1, fault=_fail_first_attempt, max_retries=2, retry_backoff_s=0,
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "*:*:exc@1")
+        runner = SweepRunner(jobs=1, max_retries=2)
         (result,) = runner.run([SweepJob("NW", table1_config(), SCALE)])
         assert result is not None
         assert_byte_identical(reference, result)

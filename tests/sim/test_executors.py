@@ -45,12 +45,7 @@ from repro.sim.executors.remote import (
     parse_address,
     worker_main,
 )
-from repro.sim.runner import (
-    EXECUTOR_NAMES,
-    SweepJob,
-    SweepRunner,
-    parse_fault_spec,
-)
+from repro.sim.runner import EXECUTOR_NAMES, SweepJob, SweepRunner
 from repro.sim.store import COUNTER_NAMES, ResultStore
 
 SCALE = 0.05
@@ -74,7 +69,7 @@ def grid(apps=APPS, scale=SCALE):
 
 
 @contextlib.contextmanager
-def backend_executor(backend, workers=2, respawn=True):
+def backend_executor(backend, workers=2, respawn=True, host="127.0.0.1"):
     """The ``executor=`` argument for one sweep on ``backend``.
 
     ``serial``/``pool`` are plain selector strings; ``remote`` boots a
@@ -84,7 +79,7 @@ def backend_executor(backend, workers=2, respawn=True):
     if backend != "remote":
         yield backend
         return
-    coordinator = Coordinator()
+    coordinator = Coordinator(host, 0)
     fleet = WorkerFleet(coordinator.address, count=workers, respawn=respawn)
     fleet.start()
     try:
@@ -143,22 +138,18 @@ class TestExecutorSelection:
 
 
 class TestCrossBackendFaults:
-    def test_exception_fault_identical_records_and_placeholders(self):
+    def test_exception_fault_identical_records_and_placeholders(self, monkeypatch):
         """The same persistent exception fault must leave identical
         ``JobFailure`` records and identical ``--keep-going`` ``None``
         placeholders on every backend."""
 
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
         observed = {}
         for backend in BACKENDS:
             common.clear_cache()
             with backend_executor(backend) as executor:
                 runner = SweepRunner(
-                    jobs=2,
-                    executor=executor,
-                    fault=parse_fault_spec("ATAX:*:exc"),
-                    max_retries=1,
-                    retry_backoff_s=0,
-                    keep_going=True,
+                    jobs=2, executor=executor, max_retries=1, keep_going=True
                 )
                 results, report = runner.run_with_report(grid())
             observed[backend] = {
@@ -180,22 +171,18 @@ class TestCrossBackendFaults:
         assert attempts == 2  # first try + one retry, on every backend
         assert "injected exception" in error
 
-    def test_crash_fault_identical_on_pool_and_remote(self):
+    def test_crash_fault_identical_on_pool_and_remote(self, monkeypatch):
         """A worker-killing fault must resolve to the same terminal
         ``"crash"`` record on both process-backed backends (serial demotes
         crashes to exceptions by design — there is no worker to kill)."""
 
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:crash")
         observed = {}
         for backend in ("pool", "remote"):
             common.clear_cache()
             with backend_executor(backend) as executor:
                 runner = SweepRunner(
-                    jobs=2,
-                    executor=executor,
-                    fault=parse_fault_spec("ATAX:*:crash"),
-                    max_retries=1,
-                    retry_backoff_s=0,
-                    keep_going=True,
+                    jobs=2, executor=executor, max_retries=1, keep_going=True
                 )
                 results, report = runner.run_with_report(grid())
             observed[backend] = {
@@ -213,15 +200,10 @@ class TestCrossBackendFaults:
         ]
         assert app == "ATAX" and disposition == "crash"
 
-    def test_transient_exception_retried_on_remote(self):
+    def test_transient_exception_retried_on_remote(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc@1")
         with backend_executor("remote") as executor:
-            runner = SweepRunner(
-                jobs=2,
-                executor=executor,
-                fault=parse_fault_spec("ATAX:*:exc@1"),
-                max_retries=2,
-                retry_backoff_s=0,
-            )
+            runner = SweepRunner(jobs=2, executor=executor, max_retries=2)
             results, report = runner.run_with_report(grid())
         assert all(r is not None for r in results)
         assert report.failures == []
@@ -329,6 +311,13 @@ class TestRemoteProtocol:
         for bad in ("no-port", "host:", "host:abc"):
             with pytest.raises(ValueError):
                 parse_address(bad)
+
+    def test_round_trip_over_ipv6_loopback(self, ipv6_loopback):
+        with backend_executor("remote", workers=1, host=ipv6_loopback) as executor:
+            # Workers dial the printed address, so the host is bracketed.
+            assert executor.coordinator.address.startswith("[::1]:")
+            (result,) = SweepRunner(executor=executor).run(grid(apps=("SRAD",)))
+        assert result is not None and result.app_name == "SRAD"
 
     def test_wait_for_workers_timeout_names_the_fix(self):
         coordinator = Coordinator()

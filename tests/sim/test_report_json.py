@@ -1,9 +1,7 @@
-"""SweepReport JSON round-trips."""
+"""SweepReport's JSON form."""
 
 import json
 from dataclasses import asdict
-
-import pytest
 
 from repro.sim.profiling import Hotspot
 from repro.sim.runner import (
@@ -42,18 +40,9 @@ def rich_report() -> SweepReport:
 
 
 class TestRoundTrip:
-    def test_to_json_from_json_is_identity(self):
-        report = rich_report()
-        restored = SweepReport.from_json(report.to_json())
-        assert restored == report
-
     def test_payload_survives_json_encoding(self):
-        report = rich_report()
-        wire = json.dumps(report.to_json())
-        restored = SweepReport.from_json(json.loads(wire))
-        assert restored == report
-        assert restored.p50_s == report.p50_s
-        assert restored.p95_s == report.p95_s
+        payload = rich_report().to_json()
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_rows_are_their_asdict_form(self):
         """Timing, failure and hotspot rows equal ``dataclasses.asdict`` of
@@ -76,36 +65,10 @@ class TestRoundTrip:
         assert payload["p50_s"] == rich_report().p50_s
         assert payload["p95_s"] == rich_report().p95_s
 
-    def test_empty_report_round_trips(self):
-        report = SweepReport()
-        assert SweepReport.from_json(report.to_json()) == report
-
     def test_telemetry_rows_match_payload_rendering(self):
         report = rich_report()
-        assert report.telemetry_rows() == telemetry_rows_from_json(report.to_json())
-        rows = report.telemetry_rows()
+        rows = telemetry_rows_from_json(report.to_json())
         # Timings first (cache hit shows 0 attempts), failures appended.
         assert [row["app"] for row in rows] == ["GUPS", "ATAX", "SRAD", "MVT"]
         assert rows[1]["cached"] == "hit" and rows[1]["attempts"] == 0
         assert rows[3]["cached"] == "FAILED"
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            None,
-            [],
-            {},
-            {"schema": "repro-sweepreport-v999"},
-            {"schema": REPORT_SCHEMA},  # missing every field
-        ],
-    )
-    def test_malformed_payloads_raise_value_error(self, payload):
-        with pytest.raises(ValueError):
-            SweepReport.from_json(payload)
-
-    def test_malformed_timing_raises_value_error(self):
-        payload = rich_report().to_json()
-        payload["timings"][0] = {"key": "only-a-key"}
-        with pytest.raises(ValueError, match="malformed"):
-            SweepReport.from_json(payload)
-

@@ -8,12 +8,14 @@ and no job simulated more than once. These tests pin all three down.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import TxScheme, table1_config
 from repro.experiments import common
 from repro.experiments.fig13_main import sweep_jobs_13bc
+from repro.sim.executors.local import SerialExecutor
 from repro.sim.runner import (
     JobTiming,
     SweepJob,
@@ -109,7 +111,7 @@ class TestOrderingAndDedup:
 
         assert report.jobs_submitted == 3 * len(base)
         assert report.unique_jobs == len(base)
-        assert report.duplicate_jobs == 2 * len(base)
+        assert report.jobs_submitted - report.unique_jobs == 2 * len(base)
         assert report.jobs_simulated == len(base)
         assert report.cache_hits == 0
         # Duplicates resolve to the very same object, not a re-simulation.
@@ -163,6 +165,36 @@ class TestAttempt:
             pool.submit(run_attempt, job, 1, None).result()
             pool.submit(run_attempt, job, 2, None).result()
             assert pool.submit(_memo_state).result() == before
+
+
+class BreaksOnFirstSubmit(SerialExecutor):
+    """A serial executor whose first ``submit`` finds it broken."""
+
+    def __init__(self):
+        self.submits = 0
+        self.recycles = []
+
+    def submit(self, job, attempt, fault):
+        self.submits += 1
+        if self.submits == 1:
+            raise BrokenProcessPool("broken before the first submit")
+        return super().submit(job, attempt, fault)
+
+    def recycle(self, reason):
+        self.recycles.append(reason)
+
+
+class TestSubmitFailure:
+    def test_broken_submit_is_recycled_and_resubmitted(self):
+        # A job the executor never accepted spent no attempt.
+        executor = BreaksOnFirstSubmit()
+        results, report = SweepRunner(executor=executor).run_with_report(
+            small_grid()[:2]
+        )
+        assert all(r is not None for r in results)
+        assert [t.attempts for t in report.timings] == [1, 1]
+        assert report.retries == 0
+        assert executor.recycles == ["executor broke on submit"]
 
 
 class TestReport:

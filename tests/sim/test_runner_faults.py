@@ -2,18 +2,13 @@
 
 A production sweep must survive what multi-hour grids actually hit:
 transient worker exceptions, hung jobs, and hard worker crashes
-(``BrokenProcessPool``). These tests drive every recovery path with the
-deterministic fault hook — injected exceptions are retried and succeed,
-persistent failures become terminal :class:`JobFailure` records instead of
-sweep aborts, a crashed pool is rebuilt and the lost jobs re-submitted,
-and everything completed before a crash survives via the disk cache.
-
-Fault callables live at module level so they pickle across the process
-boundary under any multiprocessing start method.
+(``BrokenProcessPool``). These tests drive every recovery path with a
+deterministic ``REPRO_FAULT_SPEC``, set before the runner is built —
+injected exceptions are retried and succeed, persistent failures become
+terminal :class:`JobFailure` records instead of sweep aborts, a crashed
+pool is rebuilt and the lost jobs re-submitted, and everything completed
+before a crash survives via the disk cache.
 """
-
-import os
-import time
 
 import pytest
 
@@ -45,34 +40,6 @@ def _isolated(monkeypatch):
 
 def grid(apps=APPS, scheme=TxScheme.BASELINE, scale=SCALE):
     return [SweepJob(app, table1_config(scheme), scale) for app in apps]
-
-
-# -- picklable fault hooks ---------------------------------------------------
-
-
-def fail_atax_once(job, attempt):
-    if job.app_name == "ATAX" and attempt <= 1:
-        raise RuntimeError("transient boom")
-
-
-def fail_atax_always(job, attempt):
-    if job.app_name == "ATAX":
-        raise RuntimeError("persistent boom")
-
-
-def crash_atax_once(job, attempt):
-    if job.app_name == "ATAX" and attempt <= 1:
-        os._exit(41)
-
-
-def crash_atax_always(job, attempt):
-    if job.app_name == "ATAX":
-        os._exit(41)
-
-
-def hang_atax(job, attempt):
-    if job.app_name == "ATAX":
-        time.sleep(4.0)
 
 
 class TestFaultSpecParsing:
@@ -113,10 +80,9 @@ class TestFaultSpecParsing:
 
 
 class TestRetries:
-    def test_transient_exception_retried_then_succeeds_parallel(self):
-        runner = SweepRunner(
-            jobs=2, fault=fail_atax_once, max_retries=2, retry_backoff_s=0
-        )
+    def test_transient_exception_retried_then_succeeds_parallel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc@1")
+        runner = SweepRunner(jobs=2, max_retries=2)
         results, report = runner.run_with_report(grid())
         assert all(r is not None for r in results)
         assert [r.app_name for r in results] == list(APPS)
@@ -124,23 +90,17 @@ class TestRetries:
         assert report.retries >= 1
         assert "retr" in report.summary()
 
-    def test_transient_exception_retried_then_succeeds_serial(self):
-        runner = SweepRunner(
-            jobs=1, fault=fail_atax_once, max_retries=2, retry_backoff_s=0
-        )
+    def test_transient_exception_retried_then_succeeds_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc@1")
+        runner = SweepRunner(jobs=1, max_retries=2)
         results, report = runner.run_with_report(grid())
         assert all(r is not None for r in results)
         assert report.failures == []
         assert report.retries == 1
 
-    def test_persistent_failure_recorded_not_fatal(self):
-        runner = SweepRunner(
-            jobs=2,
-            fault=fail_atax_always,
-            max_retries=1,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+    def test_persistent_failure_recorded_not_fatal(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
+        runner = SweepRunner(jobs=2, max_retries=1, keep_going=True)
         results, report = runner.run_with_report(grid())
         assert results[0] is None  # ATAX slot
         assert results[1] is not None and results[2] is not None
@@ -148,15 +108,14 @@ class TestRetries:
         assert failure.app_name == "ATAX"
         assert failure.disposition == "exception"
         assert failure.attempts == 2  # first try + one retry
-        assert "persistent boom" in failure.error
+        assert "injected exception" in failure.error
         assert "1 FAILED" in report.summary()
         assert any("ATAX" in line for line in report.failure_lines())
 
-    def test_abort_without_keep_going_preserves_completed_work(self):
+    def test_abort_without_keep_going_preserves_completed_work(self, monkeypatch):
         # Serial keeps the order deterministic: SRAD completes, ATAX aborts.
-        runner = SweepRunner(
-            jobs=1, fault=fail_atax_always, max_retries=0, keep_going=False
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
+        runner = SweepRunner(jobs=1, max_retries=0, keep_going=False)
         jobs = grid(apps=("SRAD", "ATAX", "GUPS"))
         with pytest.raises(SweepAbort) as excinfo:
             runner.run_with_report(jobs)
@@ -166,64 +125,46 @@ class TestRetries:
         assert jobs[0].key() in common._CACHE
         assert "ATAX" in str(excinfo.value)
 
-    def test_abort_counts_only_the_jobs_that_ran(self):
+    def test_abort_counts_only_the_jobs_that_ran(self, monkeypatch):
         # An ``exc`` fault on the second of three serial jobs: the first
         # ran, the second failed and the third never started.
-        runner = SweepRunner(
-            jobs=1, fault=parse_fault_spec("ATAX:*:exc"), max_retries=0,
-            keep_going=False,
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
+        runner = SweepRunner(jobs=1, max_retries=0, keep_going=False)
         with pytest.raises(SweepAbort) as excinfo:
             runner.run_with_report(grid(apps=("SRAD", "ATAX", "GUPS")))
         assert excinfo.value.report.jobs_simulated == 1
 
-    def test_keep_going_does_not_count_failed_jobs_as_simulated(self):
-        runner = SweepRunner(
-            jobs=1, fault=fail_atax_always, max_retries=0, keep_going=True
-        )
+    def test_keep_going_does_not_count_failed_jobs_as_simulated(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
+        runner = SweepRunner(jobs=1, max_retries=0, keep_going=True)
         _, report = runner.run_with_report(grid())
         assert len(report.failures) == 1
         assert report.jobs_simulated == 2
 
-    def test_failure_log_drained_for_report_module(self):
+    def test_failure_log_drained_for_report_module(self, monkeypatch):
         """The report module reads terminal failures off each sweep's own
         report (carried on ``ExperimentResult.sweep_report``): every run's
         report lists exactly that run's failures, none from earlier runs."""
 
-        runner = SweepRunner(
-            jobs=1,
-            fault=fail_atax_always,
-            max_retries=0,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc")
+        runner = SweepRunner(jobs=1, max_retries=0, keep_going=True)
         for _ in range(2):
             _, report = runner.run_with_report(grid())
             assert [f.app_name for f in report.failures] == ["ATAX"]
 
 
 class TestCrashRecovery:
-    def test_broken_pool_mid_sweep_completes_remaining(self):
-        runner = SweepRunner(
-            jobs=2,
-            fault=crash_atax_once,
-            max_retries=2,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+    def test_broken_pool_mid_sweep_completes_remaining(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:crash@1")
+        runner = SweepRunner(jobs=2, max_retries=2, keep_going=True)
         results, report = runner.run_with_report(grid())
         assert all(r is not None for r in results)
         assert report.failures == []
         assert report.retries >= 1
 
-    def test_persistent_crash_is_one_terminal_record(self):
-        runner = SweepRunner(
-            jobs=2,
-            fault=crash_atax_always,
-            max_retries=1,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+    def test_persistent_crash_is_one_terminal_record(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:crash")
+        runner = SweepRunner(jobs=2, max_retries=1, keep_going=True)
         results, report = runner.run_with_report(grid())
         assert results[0] is None
         assert results[1] is not None and results[2] is not None
@@ -233,15 +174,11 @@ class TestCrashRecovery:
 
     def test_completed_results_survive_crash_via_disk_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(common, "_CACHE_DIR", str(tmp_path))
-        crashed = SweepRunner(
-            jobs=2,
-            fault=crash_atax_always,
-            max_retries=0,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:crash")
+        crashed = SweepRunner(jobs=2, max_retries=0, keep_going=True)
         _, first = crashed.run_with_report(grid())
         assert len(first.failures) == 1
+        monkeypatch.delenv("REPRO_FAULT_SPEC")
 
         # A fresh process would start with an empty in-process cache: the
         # two completed jobs must come back from disk, only ATAX re-runs.
@@ -253,15 +190,9 @@ class TestCrashRecovery:
 
 
 class TestTimeout:
-    def test_hung_job_times_out_with_terminal_record(self):
-        runner = SweepRunner(
-            jobs=2,
-            fault=hang_atax,
-            timeout=1.5,
-            max_retries=0,
-            retry_backoff_s=0,
-            keep_going=True,
-        )
+    def test_hung_job_times_out_with_terminal_record(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:hang:4")
+        runner = SweepRunner(jobs=2, timeout=1.5, max_retries=0, keep_going=True)
         results, report = runner.run_with_report(grid(scale=0.02))
         assert results[0] is None
         assert results[1] is not None and results[2] is not None
@@ -280,7 +211,7 @@ class TestTimeout:
 class TestEnvConfiguration:
     def test_fault_spec_env_is_picked_up(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:exc@1")
-        runner = SweepRunner(jobs=2, max_retries=1, retry_backoff_s=0)
+        runner = SweepRunner(jobs=2, max_retries=1)
         results, report = runner.run_with_report(grid())
         assert all(r is not None for r in results)
         assert report.retries >= 1
@@ -291,7 +222,7 @@ class TestEnvConfiguration:
         # path demotes it to an exception (and therefore to a failure
         # record), keeping pytest — and real sweeps — alive.
         monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:*:crash")
-        runner = SweepRunner(jobs=1, max_retries=0, retry_backoff_s=0, keep_going=True)
+        runner = SweepRunner(jobs=1, max_retries=0, keep_going=True)
         results, report = runner.run_with_report(grid())
         assert results[0] is None
         (failure,) = report.failures
@@ -300,14 +231,12 @@ class TestEnvConfiguration:
 
 
 class TestFig13GridAcceptance:
-    def test_one_persistent_crasher_leaves_exactly_one_gap(self):
+    def test_one_persistent_crasher_leaves_exactly_one_gap(self, monkeypatch):
         # The acceptance grid: every Figure 13b/c job, with the
         # ATAX/icache+lds cell crashing its worker on every attempt.
         jobs = sweep_jobs_13bc(0.02)
-        fault = parse_fault_spec("ATAX:icache+lds:crash")
-        runner = SweepRunner(
-            jobs=2, fault=fault, max_retries=1, retry_backoff_s=0, keep_going=True
-        )
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "ATAX:icache+lds:crash")
+        runner = SweepRunner(jobs=2, max_retries=1, keep_going=True)
         results, report = runner.run_with_report(jobs)
 
         failed_key = common.cache_key(

@@ -218,6 +218,18 @@ class TestSweepCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro sweep: error: "), line
 
+    def test_bind_port_in_use_exits_1_with_one_error_line(self, capsys):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            address = f"127.0.0.1:{busy.getsockname()[1]}"
+            assert main(["sweep", "fig13bc", "--executor", "remote",
+                         "--bind", address, "--scale", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro sweep: error: {address}: "), line
+
 
 class TestTraceCommand:
     def test_parser_uppercases_app(self):
@@ -268,7 +280,7 @@ class TestSweepJsonOutput:
         common.clear_cache()
 
     def test_sweep_json_writes_loadable_report(self, capsys, tmp_path):
-        from repro.sim.runner import SweepReport
+        from repro.sim.runner import REPORT_SCHEMA
 
         report_path = tmp_path / "report.json"
         rc = main([
@@ -277,9 +289,10 @@ class TestSweepJsonOutput:
         ])
         assert rc == 0
         assert f"wrote {report_path}" in capsys.readouterr().out
-        report = SweepReport.from_json(json.loads(report_path.read_text()))
-        assert report.jobs_submitted > 0
-        assert report.failures == []
+        payload = json.loads(report_path.read_text())
+        assert payload["schema"] == REPORT_SCHEMA
+        assert payload["jobs_submitted"] > 0
+        assert payload["failures"] == []
 
 
 class TestServiceCommands:
