@@ -1,16 +1,8 @@
-"""Result analysis: comparison tables, ASCII charts, CSV export."""
+"""Result analysis for the CLI: plain-text tables, an ASCII bar chart and
+counter diffs between two results."""
 
-from repro.analysis.charts import bar_chart, series_chart
-from repro.analysis.summary import compare_schemes, counter_diff, speedup_summary
-from repro.analysis.tables import format_csv, format_markdown, format_plain
+from repro.analysis.charts import bar_chart
+from repro.analysis.summary import counter_diff
+from repro.analysis.tables import format_plain
 
-__all__ = [
-    "bar_chart",
-    "compare_schemes",
-    "counter_diff",
-    "format_csv",
-    "format_markdown",
-    "format_plain",
-    "series_chart",
-    "speedup_summary",
-]
+__all__ = ["bar_chart", "counter_diff", "format_plain"]

@@ -1,13 +1,11 @@
-"""Dependency-free ASCII charts for terminal reports.
+"""Dependency-free ASCII bar chart for terminal reports.
 
-The paper's figures are bar charts (per-app speedups) and series (TLB-size
-sweeps); these renderers make the reproduced figures legible directly in a
-terminal or a markdown code block.
+``repro compare`` draws each scheme's speedup over the baseline with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 _BAR = "█"
 _HALF = "▌"
@@ -47,39 +45,3 @@ def bar_chart(
         )
     return "\n".join(lines)
 
-
-def series_chart(
-    points: Sequence[Tuple[object, float]],
-    height: int = 10,
-    width_per_point: int = 6,
-    value_format: str = ".2f",
-    title: str = "",
-) -> str:
-    """A column chart for sweeps (x label -> value)."""
-
-    if not points:
-        raise ValueError("nothing to chart")
-    values = [value for _, value in points]
-    peak = max(values)
-    if peak <= 0:
-        raise ValueError("series charts need a positive maximum")
-
-    rows = []
-    for level in range(height, 0, -1):
-        threshold = peak * level / height
-        cells = []
-        for value in values:
-            cells.append((_BAR if value >= threshold else " ").center(width_per_point))
-        rows.append("".join(cells))
-    labels = "".join(str(label)[: width_per_point - 1].center(width_per_point)
-                     for label, _ in points)
-    numbers = "".join(
-        format(value, value_format)[: width_per_point - 1].center(width_per_point)
-        for value in values
-    )
-    lines = [title] if title else []
-    lines.extend(rows)
-    lines.append("-" * (width_per_point * len(points)))
-    lines.append(labels)
-    lines.append(numbers)
-    return "\n".join(lines)

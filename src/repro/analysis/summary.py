@@ -1,74 +1,15 @@
-"""SimResult comparison helpers.
+"""SimResult comparison: which counters a scheme changed.
 
-Everything a user needs to answer "what did the scheme change?" for their
-own runs: per-app scheme comparisons, speedup summaries by Table 2
-category, and structured counter diffs between two results.
+Speedups and their gmeans come from :class:`repro.experiments.common.Cells`
+and ``repro compare``; :func:`counter_diff` answers "what did the scheme
+change?" counter by counter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.sim.results import SimResult, geomean
-
-
-def speedup_summary(
-    baselines: Mapping[str, SimResult],
-    candidates: Mapping[str, SimResult],
-    categories: Optional[Mapping[str, str]] = None,
-) -> Dict[str, object]:
-    """Summarize candidate-vs-baseline speedups across applications.
-
-    Returns per-app speedups, the overall gmean, and per-category gmeans
-    when ``categories`` (app -> "H"/"M"/"L") is provided.
-    """
-
-    missing = set(baselines) ^ set(candidates)
-    if missing:
-        raise ValueError(f"apps without both runs: {sorted(missing)}")
-    per_app = {
-        name: baselines[name].cycles / candidates[name].cycles
-        for name in baselines
-    }
-    summary: Dict[str, object] = {
-        "per_app": per_app,
-        "gmean": geomean(per_app.values()),
-        "best": max(per_app, key=per_app.get),
-        "worst": min(per_app, key=per_app.get),
-    }
-    if categories:
-        by_category: Dict[str, List[float]] = {}
-        for name, value in per_app.items():
-            by_category.setdefault(categories.get(name, "?"), []).append(value)
-        summary["category_gmeans"] = {
-            category: geomean(values) for category, values in by_category.items()
-        }
-    return summary
-
-
-def compare_schemes(
-    results: Mapping[str, Mapping[str, SimResult]],
-    baseline_scheme: str = "baseline",
-) -> List[Dict[str, object]]:
-    """Build per-app comparison rows from {scheme: {app: SimResult}}.
-
-    Each row carries the app name plus one speedup column per non-baseline
-    scheme — directly renderable with :mod:`repro.analysis.tables`.
-    """
-
-    if baseline_scheme not in results:
-        raise ValueError(f"missing baseline scheme {baseline_scheme!r}")
-    baselines = results[baseline_scheme]
-    rows: List[Dict[str, object]] = []
-    for app, base in baselines.items():
-        row: Dict[str, object] = {"app": app}
-        for scheme, sims in results.items():
-            if scheme == baseline_scheme:
-                continue
-            if app in sims:
-                row[scheme] = base.cycles / sims[app].cycles
-        rows.append(row)
-    return rows
+from repro.sim.results import SimResult
 
 
 def counter_diff(

@@ -1,14 +1,11 @@
-"""Row-oriented table rendering (markdown / plain text / CSV).
+"""Row-oriented plain-text table rendering for the CLI's terminal output.
 
-All experiment harnesses produce lists of dict rows; these helpers render
-them for terminals, EXPERIMENTS.md, and spreadsheet export without pulling
-in any plotting dependency.
+EXPERIMENTS.md tables are rendered by
+:meth:`repro.experiments.common.ExperimentResult.format_table`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Dict, List, Optional, Sequence
 
 
@@ -29,25 +26,6 @@ def _cell(value, float_format: str) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def format_markdown(
-    rows: Sequence[Dict],
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = ".3f",
-) -> str:
-    """GitHub-flavoured markdown table."""
-
-    names = _columns(rows, columns)
-    lines = [
-        "| " + " | ".join(names) + " |",
-        "| " + " | ".join("---" for _ in names) + " |",
-    ]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(_cell(row.get(n), float_format) for n in names) + " |"
-        )
-    return "\n".join(lines)
 
 
 def format_plain(
@@ -73,16 +51,3 @@ def format_plain(
     ]
     return "\n".join([header, divider, *body])
 
-
-def format_csv(
-    rows: Sequence[Dict], columns: Optional[Sequence[str]] = None
-) -> str:
-    """RFC-4180 CSV (raw values, no float rounding)."""
-
-    names = _columns(rows, columns)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=names, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({name: row.get(name, "") for name in names})
-    return buffer.getvalue()

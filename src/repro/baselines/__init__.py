@@ -1,6 +1,9 @@
-"""Comparator schemes: DUCATI and the Perfect-L2-TLB upper bound."""
+"""The DUCATI comparator (Section 6.3.4).
+
+The Perfect-L2-TLB upper bound is a configuration, not a structure:
+:meth:`repro.config.SystemConfig.with_perfect_l2_tlb`.
+"""
 
 from repro.baselines.ducati import DucatiStore
-from repro.baselines.perfect import perfect_l2_config
 
-__all__ = ["DucatiStore", "perfect_l2_config"]
+__all__ = ["DucatiStore"]

@@ -42,7 +42,7 @@ from typing import List, Optional
 from repro.analysis.charts import bar_chart
 from repro.analysis.tables import format_plain
 from repro.config import SystemConfig, table1_config
-from repro.config_io import config_to_json, load_config
+from repro.config_io import config_to_json, load_config, save_config
 from repro.pagetable.page_table import SUPPORTED_PAGE_SIZES
 from repro.schemes import DESCRIPTIONS, apply_scheme, scheme_names
 from repro.system import GPUSystem
@@ -126,6 +126,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.experiments.common import simulate
+    from repro.sim.results import speedup
 
     try:
         # Build every configuration up front (actionable error, not a bare
@@ -144,15 +145,14 @@ def cmd_compare(args) -> int:
     rows = []
     for name, config in zip(args.schemes, configs):
         result = simulate(args.app, config, args.scale)
-        speedup = baseline.cycles / result.cycles
-        speedups[name] = speedup
+        speedups[name] = speedup(baseline, result)
         walk_ratio = (
             result.page_walks / baseline.page_walks if baseline.page_walks else 1.0
         )
         rows.append(
             {
                 "scheme": name,
-                "speedup": speedup,
+                "speedup": speedups[name],
                 "walks_vs_baseline": walk_ratio,
                 "cycles": result.cycles,
             }
@@ -169,13 +169,11 @@ def cmd_config(args) -> int:
     except ValueError as error:
         print(f"repro config: error: {error}", file=sys.stderr)
         return 2
-    text = config_to_json(config)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+        save_config(config, args.output)
         print(f"wrote {args.output}")
     else:
-        print(text)
+        print(config_to_json(config))
     return 0
 
 
@@ -319,8 +317,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    from repro.sim.executors.remote import supervise_worker, worker_main
+    from repro.sim.executors.remote import parse_address, supervise_worker, worker_main
 
+    try:
+        # Before anything connects or spawns: a supervisor would respawn a
+        # worker that fails on its address forever.
+        parse_address(args.connect)
+    except ValueError as error:
+        print(f"repro worker: error: {error}", file=sys.stderr)
+        return 2
     run = supervise_worker if args.respawn else worker_main
     return run(args.connect, retry_s=args.retry_s, log=print)
 

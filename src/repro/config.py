@@ -404,6 +404,9 @@ class SystemConfig:
         return replace(self, page_size=page_size)
 
     def with_perfect_l2_tlb(self) -> "SystemConfig":
+        """The Perfect-L2-TLB upper bound (Section 3.1): the shared L2 TLB
+        hits on every lookup, so no page is ever walked."""
+
         return replace(
             self,
             tlb=replace(self.tlb, perfect_l2=True),

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, table1_config
-from repro.sim.results import SimResult, geomean
+from repro.sim.results import SimResult, geomean, speedup
 from repro.sim.runner import SweepJob, SweepReport, SweepRunner
 from repro.sim.store import ResultStore
 from repro.system import GPUSystem
@@ -50,10 +49,6 @@ _CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", "")
 #: results never mix with fresh ones; files carrying a different tag are
 #: treated as stale and re-simulated (then overwritten).
 CACHE_SCHEMA = "repro-simresult-v2"
-
-#: Kept for callers that tune cache logging by name; the store itself
-#: logs under "repro.sim.store" (see :mod:`repro.sim.store`).
-_LOG = logging.getLogger("repro.experiments.cache")
 
 
 def clear_cache() -> None:
@@ -262,7 +257,7 @@ class Cells:
     def speedup(
         self, app: str, label: Hashable, baseline: Hashable = "baseline"
     ) -> float:
-        return self(app, baseline).cycles / self(app, label).cycles
+        return speedup(self(app, baseline), self(app, label))
 
     def speedup_rows(self, **columns) -> List[Dict]:
         """One row per app: ``app``, then ``columns`` (each a function of
@@ -278,9 +273,7 @@ class Cells:
     def gmean(self, label: Hashable, baseline: Hashable = "baseline") -> float:
         """Geometric-mean speedup of ``label`` over ``baseline`` across the apps."""
 
-        return gmean_speedup(
-            [self.speedup(app, label, baseline) for app in self.grid.apps]
-        )
+        return geomean(self.speedup(app, label, baseline) for app in self.grid.apps)
 
 
 @dataclass
@@ -302,9 +295,6 @@ class ExperimentResult:
                 if name not in columns:
                     columns.append(name)
         return columns
-
-    def column(self, name: str) -> List:
-        return [row.get(name) for row in self.rows]
 
     def row_for(self, key_column: str, value) -> Dict:
         for row in self.rows:
@@ -334,15 +324,11 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def gmean_speedup(speedups: Sequence[float]) -> float:
-    return geomean(speedups)
-
-
 def gmean_row(rows: List[Dict], columns: Sequence[Hashable], **leading) -> Dict:
     """A summary row: the ``leading`` cells, then each column's gmean over ``rows``."""
 
     return leading | {
-        column: gmean_speedup([row[column] for row in rows]) for column in columns
+        column: geomean(row[column] for row in rows) for column in columns
     }
 
 

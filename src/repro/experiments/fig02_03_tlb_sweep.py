@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import table1_config
-from repro.experiments.common import ExperimentResult, Grid, gmean_speedup
+from repro.experiments.common import ExperimentResult, Grid
 from repro.sim.runner import SweepJob
 from repro.workloads.registry import app_names
 
@@ -57,23 +57,20 @@ def run(
     # One row per L2 TLB size, then the Perfect-L2-TLB upper bound.
     for label in cells.arms:
         row = {"l2_entries": label}
-        speedups = []
         walk_ratios = []
         for name in cells.grid.apps:
             sim = cells(name, label)
             base = cells(name, "baseline")
-            speedup = base.cycles / sim.cycles
             if label == "perfect":
                 walk_ratio = 0.0
             else:
                 walk_ratio = (
                     sim.page_walks / base.page_walks if base.page_walks else 1.0
                 )
-            row[f"{name}_speedup"] = speedup
+            row[f"{name}_speedup"] = cells.speedup(name, label)
             row[f"{name}_walks"] = walk_ratio
-            speedups.append(speedup)
             walk_ratios.append(walk_ratio)
-        row["gmean_speedup"] = gmean_speedup(speedups)
+        row["gmean_speedup"] = cells.gmean(label)
         row["mean_walk_ratio"] = sum(walk_ratios) / len(walk_ratios)
         result.rows.append(row)
     return result

@@ -17,29 +17,28 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.config import table1_config
-from repro.experiments.common import ExperimentResult, Grid
+from repro.experiments.common import ExperimentResult, Grid, cache_key, lookup, remember
 from repro.sim.results import SimResult
 from repro.system import GPUSystem
 from repro.workloads.registry import app_names
 from repro.workloads.survey import make_survey_suite
 
-_SURVEY_CACHE: Dict[str, SimResult] = {}
-
 
 def _survey_results(scale: float) -> Dict[str, SimResult]:
-    key_prefix = f"{scale}|"
-    missing = [
-        app
-        for app in make_survey_suite(scale=scale)
-        if key_prefix + app.name not in _SURVEY_CACHE
-    ]
-    for app in missing:
-        _SURVEY_CACHE[key_prefix + app.name] = GPUSystem(table1_config()).run(app)
-    return {
-        name[len(key_prefix):]: result
-        for name, result in _SURVEY_CACHE.items()
-        if name.startswith(key_prefix)
-    }
+    """The survey suite on the Table 1 baseline, memoized in the process
+    memo (no store). Survey apps are not in the app registry, so they
+    cannot be sweep jobs."""
+
+    config = table1_config()
+    results = {}
+    for app in make_survey_suite(scale=scale):
+        key = cache_key(app.name, config, scale)
+        result = lookup(key, None)
+        if result is None:
+            result = GPUSystem(config).run(app)
+            remember(key, result, None)
+        results[app.name] = result
+    return results
 
 
 def kernel_icache_utilization(sim: SimResult) -> List[float]:
@@ -67,7 +66,7 @@ def _box(values: List[float]) -> Dict[str, float]:
     }
 
 
-def run(scale: Optional[float] = None, include_survey: bool = True) -> ExperimentResult:
+def run(scale: Optional[float] = None) -> ExperimentResult:
     cells, report = Grid(app_names(), {"baseline": table1_config()}).sweep(scale)
     result = ExperimentResult(
         experiment_id="Figures 4 + 5",
@@ -82,10 +81,7 @@ def run(scale: Optional[float] = None, include_survey: bool = True) -> Experimen
     sims: Dict[str, SimResult] = {
         name: cells(name, "baseline") for name in cells.grid.apps
     }
-    if include_survey:
-        # The survey suite is not in the app registry, so it cannot be a
-        # sweep job; it simulates in-process, memoized per scale.
-        sims.update(_survey_results(cells.scale))
+    sims.update(_survey_results(cells.scale))
 
     for name, sim in sims.items():
         lds_req = sim.distributions.get("lds_bytes_per_wg")

@@ -49,11 +49,15 @@ class ServiceClient:
         self, base_url: str = "http://127.0.0.1:8000",
         timeout: float = DEFAULT_TIMEOUT_S,
     ) -> None:
-        parts = urlsplit(base_url)
-        if parts.scheme not in ("", "http"):
+        try:
+            parts = urlsplit(base_url)
+            scheme = parts.scheme
+            if not parts.netloc:  # tolerate "host:port" sans scheme
+                parts = urlsplit(f"//{parts.path}")
+        except ValueError as error:  # e.g. an IPv6 host without its "]"
+            raise ValueError(f"bad URL {base_url!r}: {error}") from None
+        if scheme not in ("", "http"):
             raise ValueError(f"only http:// URLs are supported, got {base_url!r}")
-        if not parts.netloc:  # tolerate "host:port" sans scheme
-            parts = urlsplit(f"//{parts.path}")
         try:
             port = 8000 if parts.port is None else parts.port
         except ValueError:  # not an integer, or outside 0-65535

@@ -123,8 +123,8 @@ def parse_address(address: str) -> Tuple[str, int]:
     IPv6 host may come bracketed (``[::1]:PORT``) or bare (``::1:PORT``)."""
 
     host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"bad address {address!r}: want HOST:PORT")
+    if not sep or not port.isdecimal() or int(port) > 65535:
+        raise ValueError(f"bad address {address!r}: want HOST:PORT, PORT in 0-65535")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
     return host or "127.0.0.1", int(port)

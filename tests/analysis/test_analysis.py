@@ -1,10 +1,10 @@
-"""Unit tests for the analysis package: tables, charts, summaries."""
+"""Unit tests for the analysis package: tables, charts, counter diffs."""
 
 import pytest
 
-from repro.analysis.charts import bar_chart, series_chart
-from repro.analysis.summary import compare_schemes, counter_diff, speedup_summary
-from repro.analysis.tables import format_csv, format_markdown, format_plain
+from repro.analysis.charts import bar_chart
+from repro.analysis.summary import counter_diff
+from repro.analysis.tables import format_plain
 from repro.sim.results import SimResult
 
 ROWS = [
@@ -18,16 +18,6 @@ def result(cycles, **counters):
 
 
 class TestTables:
-    def test_markdown_shape(self):
-        text = format_markdown(ROWS)
-        lines = text.splitlines()
-        assert lines[0] == "| app | speedup | note |"
-        assert "2.177" in lines[2]
-
-    def test_markdown_explicit_columns(self):
-        text = format_markdown(ROWS, columns=["speedup"])
-        assert "app" not in text
-
     def test_plain_alignment(self):
         text = format_plain(ROWS)
         lines = text.splitlines()
@@ -36,15 +26,6 @@ class TestTables:
     def test_plain_missing_cells_blank(self):
         text = format_plain(ROWS)
         assert "flat" in text
-
-    def test_csv_round_trip(self):
-        import csv
-        import io
-
-        text = format_csv(ROWS)
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert parsed[0]["app"] == "ATAX"
-        assert float(parsed[0]["speedup"]) == 2.1774
 
     def test_float_format_override(self):
         text = format_plain(ROWS, float_format=".1f")
@@ -69,58 +50,6 @@ class TestCharts:
     def test_bar_chart_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             bar_chart({"a": 0.0})
-
-    def test_series_chart_shape(self):
-        text = series_chart([(512, 1.0), (8192, 1.5), ("2M", 2.6)], height=5)
-        lines = text.splitlines()
-        assert len(lines) == 5 + 3  # bars + divider + labels + numbers
-        assert "2M" in lines[-2]
-
-    def test_series_chart_tallest_column_full(self):
-        text = series_chart([("a", 1.0), ("b", 2.0)], height=4)
-        top = text.splitlines()[0]
-        assert "█" in top
-
-
-class TestSpeedupSummary:
-    def test_basic(self):
-        summary = speedup_summary(
-            {"A": result(200), "B": result(100)},
-            {"A": result(100), "B": result(100)},
-        )
-        assert summary["per_app"]["A"] == 2.0
-        assert summary["best"] == "A"
-        assert summary["worst"] == "B"
-        assert summary["gmean"] == pytest.approx(2.0 ** 0.5)
-
-    def test_categories(self):
-        summary = speedup_summary(
-            {"A": result(300), "B": result(100)},
-            {"A": result(100), "B": result(100)},
-            categories={"A": "H", "B": "L"},
-        )
-        assert summary["category_gmeans"]["H"] == pytest.approx(3.0)
-        assert summary["category_gmeans"]["L"] == 1.0
-
-    def test_mismatched_apps_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_summary({"A": result(1)}, {"B": result(1)})
-
-
-class TestCompareSchemes:
-    def test_rows(self):
-        rows = compare_schemes(
-            {
-                "baseline": {"A": result(200)},
-                "lds": {"A": result(100)},
-                "icache": {"A": result(50)},
-            }
-        )
-        assert rows == [{"app": "A", "lds": 2.0, "icache": 4.0}]
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            compare_schemes({"lds": {}})
 
 
 class TestCounterDiff:

@@ -56,7 +56,7 @@ class TestCorruptFiles:
         (tmp_path / path).write_text("{definitely not json")
         common.clear_cache()
 
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+        with caplog.at_level(logging.WARNING, logger="repro.sim.store"):
             second = common.run_app(APP, table1_config(), SCALE)
 
         assert second.cycles == first.cycles  # re-simulated, not None/garbage
@@ -74,7 +74,7 @@ class TestCorruptFiles:
         (tmp_path / path).write_text(full[: len(full) // 2])
         common.clear_cache()
 
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+        with caplog.at_level(logging.WARNING, logger="repro.sim.store"):
             result = common.run_app(APP, table1_config(), SCALE)
 
         assert result.cycles > 0
@@ -88,7 +88,7 @@ class TestCorruptFiles:
         )
         common.clear_cache()
 
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+        with caplog.at_level(logging.WARNING, logger="repro.sim.store"):
             result = common.run_app(APP, table1_config(), SCALE)
 
         assert result.cycles > 1
@@ -100,7 +100,7 @@ class TestCorruptFiles:
         (tmp_path / path).write_text("[1, 2, 3]")
         common.clear_cache()
 
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+        with caplog.at_level(logging.WARNING, logger="repro.sim.store"):
             result = common.run_app(APP, table1_config(), SCALE)
 
         assert result.cycles > 0
@@ -117,7 +117,7 @@ class TestSchemaVersioning:
         (tmp_path / path).write_text(json.dumps(payload))
         common.clear_cache()
 
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+        with caplog.at_level(logging.WARNING, logger="repro.sim.store"):
             second = common.run_app(APP, table1_config(), SCALE)
 
         assert second.cycles == first.cycles

@@ -13,7 +13,6 @@ import pytest
 import repro.experiments.common as common
 from repro.config import TxScheme
 from repro.experiments import (
-    export,
     fig13_main,
     fig14_sharing_walks_pagesize,
     fig15_entries,
@@ -130,19 +129,3 @@ class TestFig16cArms:
 
         result = fig16_sensitivity.run_fig16c(0.02)
         assert result.columns == ["app", "ducati", "icache_lds", "ducati_icache_lds"]
-
-
-class TestExport:
-    def test_slugify(self):
-        assert export.slugify("Figure 13b") == "figure_13b"
-        assert export.slugify("Section 6.3.1") == "section_6_3_1"
-
-    def test_export_result_files(self, tmp_path):
-        result = common.ExperimentResult("Figure 13b", "title", paper_notes="note")
-        result.rows.append({"app": "A", "speedup": 2.0})
-        written = export.export_result(result, str(tmp_path))
-        assert len(written) == 2
-        csv_text = (tmp_path / "figure_13b.csv").read_text()
-        assert "app,speedup" in csv_text
-        md_text = (tmp_path / "figure_13b.md").read_text()
-        assert "note" in md_text

@@ -308,7 +308,7 @@ class TestRemoteProtocol:
     def test_parse_address(self):
         assert parse_address("example.org:80") == ("example.org", 80)
         assert parse_address(":8000") == ("127.0.0.1", 8000)
-        for bad in ("no-port", "host:", "host:abc"):
+        for bad in ("no-port", "host:", "host:abc", "host:99999"):
             with pytest.raises(ValueError):
                 parse_address(bad)
 

@@ -81,6 +81,15 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scheme"] == "icache"
 
+    def test_config_output_writes_what_load_config_reads(self, tmp_path, capsys):
+        from repro.config import table1_config
+        from repro.config_io import load_config
+
+        path = tmp_path / "cfg.json"
+        assert main(["config", "--page-size", "65536", "--output", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert load_config(str(path)) == table1_config().with_page_size(65536)
+
     def test_l2_tlb_override(self, capsys):
         assert main(["config", "--l2-tlb-entries", "8192"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -207,7 +216,10 @@ class TestSweepCommand:
         assert "hit" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag", [["--min-workers", "0"], ["--jobs", "0"], ["--start-timeout", "0"]],
+        "flag", [
+            ["--min-workers", "0"], ["--jobs", "0"], ["--start-timeout", "0"],
+            ["--bind", "127.0.0.1:99999"],
+        ],
         ids=lambda flag: f"{flag[0][2:]}={flag[1]}",
     )
     def test_bad_remote_flag_exits_2_with_one_error_line(self, capsys, flag):
@@ -229,6 +241,26 @@ class TestSweepCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro sweep: error: {address}: "), line
+
+
+class TestWorkerCommand:
+    def test_unusable_address_exits_2_before_anything_runs(self, capsys, monkeypatch):
+        from repro.sim.executors.remote import EXIT_CLEAN
+
+        spawned = []
+        # Under --respawn a worker that fails on its address would be
+        # respawned forever; the stub ends that loop at its first call.
+        monkeypatch.setattr(
+            "repro.sim.executors.remote.subprocess.call",
+            lambda command: spawned.append(command) or EXIT_CLEAN,
+        )
+        for respawn in ([], ["--respawn"]):
+            assert main(["worker", "--connect", "no-port"] + respawn) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("repro worker: error: bad address 'no-port'"), line
+        assert spawned == []
 
 
 class TestTraceCommand:
@@ -338,7 +370,7 @@ class TestServiceCommands:
 
     @pytest.mark.parametrize("url", [
         "ftp://x", "http://127.0.0.1:notaport", "http://127.0.0.1:99999",
-        "http://127.0.0.1:0",
+        "http://127.0.0.1:0", "http://[::1:80",
     ])
     def test_unusable_url_exits_2_naming_it(self, capsys, url):
         from repro.service.client import ServiceClient
