@@ -44,4 +44,3 @@ def bar_chart(
             f"{label.rjust(label_width)}  {bar.ljust(width)} {value:{value_format}}"
         )
     return "\n".join(lines)
-

@@ -50,4 +50,3 @@ def format_plain(
         for line in rendered
     ]
     return "\n".join([header, divider, *body])
-
